@@ -32,8 +32,13 @@ def _encode(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, default=_encode))
+def _emit(args, payload) -> None:
+    """Print the payload as JSON with sorted keys under --json, else as key: value lines."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, default=_encode))
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}")
 
 
 def _group_arg(spec: str) -> AbelianGroup:
@@ -69,13 +74,9 @@ def cmd_group(args) -> int:
         "min_dist_sq": lat.minimal_distance_sq() if g.order >= 2 else None,
         "num_min_vecs": lat.count_minimal_vectors() if g.order >= 2 else 0,
         "det_sq": lat.determinant_sq() if g.order >= 2 else None,
-        "index": lat.index_in_An() if g.order >= 2 else None,
+        "index": g.order if g.order >= 2 else None,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args, payload)
     return 0
 
 
@@ -87,12 +88,12 @@ def cmd_basis(args) -> int:
         "kind": result.kind,
         "certified": result.certified,
         "gram_det_sq": result.report.gram_det_sq,
-        "vectors": [list(v) for v in result.vectors],
+        "vectors": result.vectors,
     }
     if result.kind == "exceptional_cyclic_4":
         payload["span_rank"] = span_rank(Lattice(g).minimal_vectors())
     if args.json:
-        _emit_json(payload)
+        _emit(args, payload)
     elif args.csv:
         writer = csv.writer(sys.stdout)
         for v in result.vectors:
@@ -116,10 +117,10 @@ def cmd_minvec(args) -> int:
         "N": g.order,
         "min_dist_sq": lat.minimal_distance_sq(),
         "count": len(vectors),
-        "vectors": [list(v) for v in vectors],
+        "vectors": vectors,
     }
     if args.json:
-        _emit_json(payload)
+        _emit(args, payload)
     else:
         print(f"group {g.spec()}: {len(vectors)} minimal vectors, norm^2 {payload['min_dist_sq']}")
         for v in vectors:
@@ -141,11 +142,7 @@ def cmd_verify(args) -> int:
         "gram_det_sq": report.gram_det_sq,
         "certified": report.certified,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args, payload)
     if result.kind == "exceptional_cyclic_4":
         ok = report.all_in_lattice and report.count_ok and report.gram_det_sq_ok
         return 0 if ok else 1
@@ -163,7 +160,7 @@ def cmd_density(args) -> int:
         for rep in reports:
             writer.writerow([rep.N, repr(rep.log_density), repr(rep.log_mh_bound), rep.satisfies_mh])
     elif args.json:
-        _emit_json([asdict(rep) for rep in reports])
+        _emit(args, [asdict(rep) for rep in reports])
     else:
         for rep in reports:
             flag = "yes" if rep.satisfies_mh else "no"
@@ -197,11 +194,7 @@ def cmd_covering(args) -> int:
             "all_within_upper": sampled.all_within_upper,
             "max_reaches_lower": sampled.max_reaches_lower,
         }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args, payload)
     sampled_ok = "sampled" not in payload or (
         payload["sampled"]["all_within_upper"] and payload["sampled"]["max_reaches_lower"]
     )
@@ -222,11 +215,7 @@ def cmd_oracle(args) -> int:
         "pair_sum_count": len(expected),
         "agree": agree,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args, payload)
     return 0 if agree in (True, None) else 1
 
 
@@ -263,11 +252,7 @@ def cmd_curve(args) -> int:
             f"N = {g.order} exceeds --max-basis-n = {args.max_basis_n}; skipping basis certification",
             file=sys.stderr,
         )
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args, payload)
     if result is not None and result.kind != "exceptional_cyclic_4" and not result.certified:
         return 1
     return 0

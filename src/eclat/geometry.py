@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import (
     BadSize,
@@ -23,7 +23,7 @@ from .errors import (
     NotInAn,
 )
 from .groups import AbelianGroup
-from .lattice import Vector
+from .lattice import Vector, _enumerate
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -164,12 +164,8 @@ def retract(group: AbelianGroup, v: Vector) -> Vector:
         raise LengthMismatch(f"expected length {group.order}, got {len(v)}")
     if sum(v) != 0:
         raise NotInAn("coordinates must sum to zero")
-    wa = wb = 0
-    for c, (a, b) in zip(v, group.elements()):
-        wa += c * a
-        wb += c * b
-    s = (wa % group.m, wb % group.n)
-    if s == (0, 0):
+    s = group.weighted_sum(v)
+    if s == group.identity:
         return tuple(v)
     out = list(v)
     out[0] += 1
@@ -208,12 +204,10 @@ def cvp(
 ) -> tuple[Vector, Fraction]:
     """Exact closest lattice vector to the target within the given squared radius.
 
-    Depth-first search over integer coordinates with partial-distance
-    pruning, the zero-sum constraint forced on the last coordinate, and the
-    membership test at the leaves; the retraction of the closest A_{N-1}
-    point seeds the search. Ties are broken toward the lexicographically
-    smallest coordinate vector. Raises NoPointInRadius if the cap is too
-    small.
+    The lattice enumeration around the target with a shrinking radius,
+    seeded by the retraction of the closest A_{N-1} point. Ties are broken
+    toward the lexicographically smallest coordinate vector. Raises
+    NoPointInRadius if the cap is too small.
     """
     N = group.order
     if N > max_dim:
@@ -230,59 +224,20 @@ def cvp(
     DD = D * D
     cap_scaled = (cap.numerator * DD) // cap.denominator  # floor; costs are integers
 
-    elems = group.elements()
-    avals = [a for a, _ in elems]
-    bvals = [b for _, b in elems]
-    m, n = group.m, group.n
-
-    suffix_min = [0] * (N + 1)
-    for i in range(N - 1, -1, -1):
-        r = ts[i] % D
-        suffix_min[i] = suffix_min[i + 1] + min(r * r, (D - r) * (D - r))
-
-    best_cost: int | None = None
-    best_vec: Vector | None = None
-
     warm = retract(group, tuple(closest_An_point(tuple(t))))
     warm_cost = sum((D * x - c) ** 2 for x, c in zip(warm, ts))
-    if warm_cost <= cap_scaled:
-        best_cost, best_vec = warm_cost, warm
+    best: tuple[int, Vector] | None = (warm_cost, warm) if warm_cost <= cap_scaled else None
 
-    coords = [0] * N
+    def visit(cost: int, vec: Vector) -> int:
+        nonlocal best
+        if best is None or (cost, vec) < best:
+            best = (cost, vec)
+        return best[0]
 
-    def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
-        nonlocal best_cost, best_vec
-        limit = cap_scaled if best_cost is None else min(cap_scaled, best_cost)
-        if i == N - 1:
-            x = -total
-            c = cost + (D * x - ts[i]) ** 2
-            if c > limit:
-                return
-            if (wa + x * avals[i]) % m or (wb + x * bvals[i]) % n:
-                return
-            coords[i] = x
-            vec = tuple(coords)
-            if best_cost is None or c < best_cost or (c == best_cost and vec < best_vec):
-                best_cost, best_vec = c, vec
-            return
-        budget = limit - cost - suffix_min[i + 1]
-        if budget < 0:
-            return
-        r = isqrt(budget)
-        lo = -(-(ts[i] - r) // D)  # ceil((ts[i]-r)/D)
-        hi = (ts[i] + r) // D
-        for x in sorted(range(lo, hi + 1), key=lambda v: (abs(D * v - ts[i]), v)):
-            c = cost + (D * x - ts[i]) ** 2
-            limit = cap_scaled if best_cost is None else min(cap_scaled, best_cost)
-            if c + suffix_min[i + 1] > limit:
-                break  # candidates are cost-ordered
-            coords[i] = x
-            dfs(i + 1, total + x, wa + x * avals[i], wb + x * bvals[i], c)
-
-    dfs(0, 0, 0, 0, 0)
-    if best_vec is None:
+    _enumerate(group, ts, D, cap_scaled if best is None else best[0], visit)
+    if best is None:
         raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
-    return best_vec, Fraction(best_cost, DD)
+    return best[1], Fraction(best[0], DD)
 
 
 def covering_bounds(N: int, *, cyclic: bool = False) -> CoveringReport:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, Sequence
 
-from .exact import crt
+from .exact import crt, factorize
 
 GroupElement = tuple[int, int]
 
@@ -75,6 +75,16 @@ class AbelianGroup:
             raise IndexError(f"element index {index} out of range for order {self.order}")
         return divmod(index, self.n)
 
+    def weighted_sum(self, v: Sequence[int]) -> GroupElement:
+        """The element sum(v[i] * element_at(i)), read off coordinate i as divmod(i, n)."""
+        wa = wb = 0
+        for i, c in enumerate(v):
+            if c:
+                a, b = divmod(i, self.n)
+                wa += c * a
+                wb += c * b
+        return (wa % self.m, wb % self.n)
+
     def elements(self) -> list[GroupElement]:
         """All elements in index order, identity first."""
         return [(a, b) for a in range(self.m) for b in range(self.n)]
@@ -108,8 +118,9 @@ def canonical_map(m: int, n: int) -> Callable[[GroupElement], GroupElement]:
     target = make_group(m, n)
     low: list[tuple[int, int]] = []   # (prime power, source side: 0 -> a, 1 -> b)
     high: list[tuple[int, int]] = []
-    for p in _prime_support(m * n):
-        pa, pb = _p_power(m, p), _p_power(n, p)
+    fm, fn = factorize(m), factorize(n)
+    for p in factorize(m * n):
+        pa, pb = p ** fm.get(p, 0), p ** fn.get(p, 0)
         if pa <= pb:
             low.append((pa, 0))
             high.append((pb, 1))
@@ -154,23 +165,3 @@ def parse_group_spec(spec: str) -> tuple[int, int]:
 def format_element(x: GroupElement) -> str:
     return f"({x[0]},{x[1]})"
 
-
-def _prime_support(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _p_power(n: int, p: int) -> int:
-    q = 1
-    while n % (q * p) == 0:
-        q *= p
-    return q

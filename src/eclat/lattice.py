@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import Callable
 
 from .errors import BadSize, InternalInconsistency, LengthMismatch, NotInAn, OracleBoundExceeded
 from .exact import det_bareiss, int_rank, row_echelon_int
-from .groups import AbelianGroup
+from .groups import AbelianGroup, GroupElement
 
 Vector = tuple[int, ...]
 
@@ -48,13 +49,7 @@ class Lattice:
         g = self.group
         if len(v) != g.order:
             raise LengthMismatch(f"expected length {g.order}, got {len(v)}")
-        if sum(v) != 0:
-            return False
-        wa = wb = 0
-        for c, (a, b) in zip(v, g.elements()):
-            wa += c * a
-            wb += c * b
-        return wa % g.m == 0 and wb % g.n == 0
+        return sum(v) == 0 and g.weighted_sum(v) == g.identity
 
     def minimal_distance_sq(self) -> int:
         """Squared minimal distance: 4 for N >= 4, 6 for N = 3, 8 for N = 2.
@@ -88,13 +83,8 @@ class Lattice:
             base = [(-2, 1, 1), (1, -2, 1), (1, 1, -2)]
             out3 = base + [tuple(-c for c in v) for v in base]
             return sorted(out3)
-        elems = g.elements()
-        by_sum: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i in range(N):
-            for j in range(i + 1, N):
-                by_sum.setdefault(g.add(elems[i], elems[j]), []).append((i, j))
         out: list[Vector] = []
-        for pairs in by_sum.values():
+        for pairs in _pair_classes(g):
             for pos in pairs:
                 for neg in pairs:
                     if pos == neg:
@@ -117,20 +107,13 @@ class Lattice:
             return 2
         if N == 3:
             return 6
-        elems = g.elements()
-        class_sizes: dict[tuple[int, int], int] = {}
-        for i in range(N):
-            for j in range(i + 1, N):
-                s = g.add(elems[i], elems[j])
-                class_sizes[s] = class_sizes.get(s, 0) + 1
-        return sum(k * (k - 1) for k in class_sizes.values())
+        return sum(len(pairs) * (len(pairs) - 1) for pairs in _pair_classes(g))
 
     def svp_oracle(self, norm_sq_bound: int, *, max_dim: int = SVP_ORACLE_MAX_DIM) -> list[Vector]:
         """Every nonzero lattice vector with squared norm <= the bound, sorted.
 
-        Depth-first search over integer coordinates with partial-norm pruning
-        and the zero-sum constraint; independent of the pair-sum
-        characterization used by minimal_vectors.
+        The lattice enumeration around the origin; independent of the
+        pair-sum characterization used by minimal_vectors.
         """
         g = self.group
         N = g.order
@@ -139,34 +122,14 @@ class Lattice:
         if N < 2:
             raise BadSize("the lattice needs a group of order at least 2")
         bound = int(norm_sq_bound)
-        if bound < 0:
-            return []
-        elems = g.elements()
-        avals = [a for a, _ in elems]
-        bvals = [b for _, b in elems]
-        m, n = g.m, g.n
         out: list[Vector] = []
-        coords = [0] * N
 
-        def dfs(i: int, norm: int, total: int, wa: int, wb: int) -> None:
-            if i == N - 1:
-                x = -total
-                nn = norm + x * x
-                if 0 < nn <= bound and (wa + x * avals[i]) % m == 0 and (wb + x * bvals[i]) % n == 0:
-                    coords[i] = x
-                    out.append(tuple(coords))
-                return
-            top = isqrt(bound - norm)
-            for x in range(-top, top + 1):
-                nn = norm + x * x
-                # the remaining coordinates must cancel the running sum, and
-                # each unit of cancellation costs at least 1 in squared norm
-                if nn + abs(total + x) > bound:
-                    continue
-                coords[i] = x
-                dfs(i + 1, nn, total + x, wa + x * avals[i], wb + x * bvals[i])
+        def visit(cost: int, vec: Vector) -> int:
+            if cost:
+                out.append(vec)
+            return bound
 
-        dfs(0, 0, 0, 0, 0)
+        _enumerate(g, [0] * N, 1, bound, visit)
         return sorted(out)
 
     def determinant_sq(self) -> int:
@@ -176,14 +139,78 @@ class Lattice:
             raise BadSize("the lattice needs a group of order at least 2")
         return N**3
 
-    def index_in_An(self) -> int:
-        """Index [A_{N-1} : L] = N, cross-checked against the determinant ratio."""
-        N = self.dim
-        ratio_sq, rem = divmod(self.determinant_sq(), N)  # det(A_{N-1})^2 = N
-        index = isqrt(ratio_sq)
-        if rem != 0 or index * index != ratio_sq or index != N:
-            raise InternalInconsistency("determinant ratio does not give a square index")
-        return index
+
+def _pair_classes(group: AbelianGroup) -> list[list[tuple[int, int]]]:
+    """Coordinate pairs i < j grouped by the sum of their two elements."""
+    N = group.order
+    elems = group.elements()
+    by_sum: dict[GroupElement, list[tuple[int, int]]] = {}
+    for i in range(N):
+        for j in range(i + 1, N):
+            by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
+    return list(by_sum.values())
+
+
+def _enumerate(
+    group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int]
+) -> None:
+    """Visit every lattice vector x with cost sum((D*x_i - ts_i)^2) <= limit.
+
+    The target is ts / D. The search is depth first over the coordinates in
+    index order; the zero-sum constraint fixes the last coordinate and
+    membership is tested there. visit(cost, x) is called at each lattice
+    vector within the limit and returns the limit to continue with.
+
+    Each coordinate's cost depends on that coordinate alone, so its
+    candidates are sorted by cost once, from the initial limit, and tried
+    nearest first (Schnorr-Euchner order). The coordinates after i cost at
+    least sum(rho_j^2) + D*(D - 2*max(rho_j))*|s - sum(n_j)| when they must
+    sum to s, where n_j is the integer nearest ts_j / D and
+    rho_j = |D*n_j - ts_j| <= D/2.
+    """
+    if limit < 0:
+        return
+    N, m, n = group.order, group.m, group.n
+    last = N - 1
+    if last == 0:  # the zero vector is the only zero-sum vector
+        if ts[0] ** 2 <= limit:
+            visit(ts[0] ** 2, (0,))
+        return
+    r = isqrt(limit)
+    cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
+    base, near, slope = [0] * N, [0] * N, [0] * N
+    b = s = rho_max = 0
+    for j in range(last, 0, -1):
+        nj = (2 * ts[j] + D) // (2 * D)
+        rho = abs(D * nj - ts[j])
+        b, s, rho_max = b + rho * rho, s + nj, max(rho_max, rho)
+        base[j - 1], near[j - 1], slope[j - 1] = b, s, D * (D - 2 * rho_max)
+    t_last = ts[last]
+    a_last, b_last = divmod(last, n)
+    coords = [0] * N
+
+    def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
+        nonlocal limit
+        bi, nr, sl = base[i], near[i], slope[i]
+        a, bw = divmod(i, n)
+        for c, x in cands[i]:
+            c += cost
+            if c + bi > limit:
+                break
+            if c + bi + sl * abs(total + x + nr) > limit:
+                continue
+            coords[i] = x
+            if i < last - 1:
+                dfs(i + 1, total + x, wa + x * a, wb + x * bw, c)
+                continue
+            # the last coordinate is tested here, not in a call: most nodes are leaves
+            y = -total - x
+            c += (D * y - t_last) ** 2
+            if c <= limit and (wa + x * a + y * a_last) % m == 0 and (wb + x * bw + y * b_last) % n == 0:
+                coords[last] = y
+                limit = visit(c, tuple(coords))
+
+    dfs(0, 0, 0, 0, 0)
 
 
 @lru_cache(maxsize=None)

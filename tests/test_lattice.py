@@ -1,3 +1,6 @@
+import itertools
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,11 +113,6 @@ def test_determinant_sq():
     assert Lattice(AbelianGroup(3, 3)).determinant_sq() == 729
 
 
-def test_index_in_An():
-    assert cyclic(5).index_in_An() == 5
-    assert cyclic(2).index_in_An() == 2
-
-
 def test_index_from_generators_hnf_oracle():
     # valid because the lattice is generated by its minimal vectors for n >= 5
     assert index_from_generators(cyclic(6).minimal_vectors()) == 6
@@ -158,6 +156,21 @@ def test_svp_oracle_bound():
 def test_svp_oracle_matches_pair_sum(shape):
     lat = Lattice(AbelianGroup(*shape))
     assert lat.svp_oracle(lat.minimal_distance_sq()) == lat.minimal_vectors()
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (1, 6), (1, 7), (2, 2), (2, 3)])
+def test_svp_oracle_complete_above_minimum(shape):
+    # brute force over the box |x_i| <= isqrt(B), which holds every vector of norm <= B
+    lat = Lattice(AbelianGroup(*shape))
+    N = lat.dim
+    for bound in (6, 8, 10):
+        r = isqrt(bound)
+        expected = []
+        for head in itertools.product(range(-r, r + 1), repeat=N - 1):
+            v = head + (-sum(head),)
+            if 0 < norm_sq(v) <= bound and lat.contains(v):
+                expected.append(v)
+        assert lat.svp_oracle(bound) == sorted(expected), (shape, bound)
 
 
 @given(st.integers(2, 9), st.data())
