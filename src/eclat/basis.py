@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import BadShape, BadSize
 from .groups import AbelianGroup
-from .lattice import Lattice, Vector, gram_report
+# gram_report is not called here; it stays importable because the traced benchmark run wraps it
+from .lattice import Lattice, Vector, gram_report, index_from_generators  # noqa: F401
 
 # Fallback for the cyclic group of order 4: a basis of the lattice (Gram
 # determinant exactly 64) whose third vector has squared norm 6, because no
@@ -66,7 +67,12 @@ _EXPLICIT_4X4: tuple[Vector, ...] = (
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Certification flags for a candidate basis of minimal vectors."""
+    """Certification flags for a candidate basis of minimal vectors.
+
+    gram_det_sq is N * [A_{N-1} : span]^2, the Gram determinant of N-1 lattice
+    vectors; it is 0 when a vector lies outside the lattice or the rank is
+    short, and not the Gram determinant for more than N-1 vectors.
+    """
 
     all_in_lattice: bool
     all_minimal: bool
@@ -230,19 +236,20 @@ def _closing_vectors(m: int, n: int) -> list[Vector]:
 def verify_basis(group: AbelianGroup, vectors: list[Vector]) -> VerificationReport:
     """Certify a candidate basis: membership, minimality, count and Gram determinant.
 
-    N-1 independent lattice vectors whose Gram determinant equals N^3 span a
-    sublattice of index 1, hence form a basis.
+    N-1 lattice vectors whose span has index N in A_{N-1}, as the lattice
+    has, form a basis; their Gram determinant is then N * N^2 = N^3.
     """
     lat = Lattice(group)
     N = group.order
     min_sq = lat.minimal_distance_sq()
-    report = gram_report(list(vectors))
+    all_in_lattice = all(lat.contains(v) for v in vectors)
+    index = index_from_generators(vectors) if vectors and all_in_lattice else 0
     return VerificationReport(
-        all_in_lattice=all(lat.contains(v) for v in vectors),
+        all_in_lattice=all_in_lattice,
         all_minimal=all(sum(c * c for c in v) == min_sq for v in vectors),
         count_ok=len(vectors) == N - 1,
-        gram_det_sq_ok=report.det == N**3,
-        gram_det_sq=report.det,
+        gram_det_sq_ok=index == N,
+        gram_det_sq=N * index**2,
     )
 
 
@@ -250,36 +257,30 @@ def build_minimal_basis(group: AbelianGroup) -> BasisResult:
     """Basis of minimal vectors for any canonical group of order >= 2.
 
     Dispatches on the canonical shape (m, n) with m | n; the cyclic group of
-    order 4 gets the fallback basis tagged "exceptional_cyclic_4" with
-    certified False (its minimal vectors only span rank 2).
+    order 4 gets the fallback basis tagged "exceptional_cyclic_4", which
+    verify_basis does not certify (its third vector is not minimal).
     """
     m, n = group.m, group.n
     if group.order < 2:
         raise BadSize("the lattice needs a group of order at least 2")
     if not group.is_canonical:
         raise BadShape(f"dispatch needs a canonical shape with m | n, got ({m}, {n})")
-    if m == 1:
-        if n == 4:
-            vectors = CYCLIC4_FALLBACK
-            report = verify_basis(group, list(vectors))
-            return BasisResult("exceptional_cyclic_4", vectors, False, report)
-        if n in (2, 3):
-            kind = f"cyclic_small_{n}"
-            vectors = tuple(small_cyclic_basis(n))
-        else:
-            kind = "cyclic_basis1"
-            vectors = tuple(cyclic_basis(n))
+    if (m, n) == (1, 4):
+        kind, vectors = "exceptional_cyclic_4", CYCLIC4_FALLBACK
+    elif m == 1 and n in (2, 3):
+        kind = f"cyclic_small_{n}"
+        vectors = tuple(small_cyclic_basis(n))
+    elif m == 1:
+        kind = "cyclic_basis1"
+        vectors = tuple(cyclic_basis(n))
     elif (m, n) == (2, 2):
         kind = "klein_2x2"
         vectors = tuple(klein_basis())
     elif (m, n) in ((2, 4), (3, 3), (4, 4)):
         kind = f"explicit_{m}x{n}"
         vectors = tuple(explicit_small_basis((m, n)))
-    elif m in (2, 3, 4):
-        kind = f"rect_{m}xn"
-        vectors = tuple(rect_basis(m, n))
     else:
-        kind = "rect_mxn"
+        kind = f"rect_{m}xn" if m <= 4 else "rect_mxn"
         vectors = tuple(rect_basis(m, n))
     report = verify_basis(group, list(vectors))
     return BasisResult(kind, vectors, report.certified, report)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -56,6 +57,17 @@ def _curve_arg(spec: str) -> curves.Curve:
     except SingularCurve as exc:
         # singular input is a usage error for the CLI
         raise ValueError(str(exc)) from exc
+
+
+def _positive_fraction(text: str) -> Fraction:
+    # float() bounds the exponent first: an exact parse of 1e999999999 would not finish
+    try:
+        value = Fraction(text) if "/" in text or 0 < float(text) < math.inf else 0
+    except (ValueError, ZeroDivisionError):
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number such as 5.83 or 35/6, got {text!r}")
+    return value
 
 
 def _max_p(args) -> int:
@@ -169,6 +181,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     g = args.group
     bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
     payload = {
@@ -183,9 +197,8 @@ def cmd_covering(args) -> int:
     if args.trials > 0 and g.order > geometry.CVP_MAX_DIM:
         print(f"N = {g.order} exceeds the exact-search bound; reporting bounds only", file=sys.stderr)
     elif args.trials > 0:
-        cap = Fraction(*args.cvp_cap.as_integer_ratio()) if args.cvp_cap else None
         print(f"sampling {args.trials} targets for {g.spec()}", file=sys.stderr)
-        sampled = geometry.sampled_covering_check(g, args.trials, args.seed, cvp_cap=cap)
+        sampled = geometry.sampled_covering_check(g, args.trials, args.seed, cvp_cap=args.cvp_cap)
         payload["sampled"] = {
             "trials": sampled.trials,
             "seed": sampled.seed,
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cvp-cap", type=float, default=None, help="squared-radius search cap override")
+    p.add_argument("--cvp-cap", type=_positive_fraction, default=None, help="squared-radius search cap override")
     add_format(p)
     p.set_defaults(func=cmd_covering)
 

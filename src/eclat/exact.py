@@ -99,41 +99,39 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def row_echelon_int(rows: list[list[int]]) -> list[list[int]]:
-    """Integer row-echelon form via extended-gcd row operations.
+def echelon_pivots(rows: list[tuple[int, ...]]) -> list[int]:
+    """Positive pivots, in column order, of an integer echelon form of the rows.
 
-    The returned rows have strictly increasing pivot columns with positive
-    pivots and span the same integer row space as the input, so the product
-    of the pivots equals the index of the row space in its saturation.
+    Rows are held sparse as {column: entry} and reduced with extended-gcd
+    row operations, which are unimodular, so the pivot rows generate the same
+    Z-module as the input. The number of pivots is the rank over the
+    rationals; when every one of the k columns has a pivot, the product of
+    the pivots is the index of the rows' Z-span in Z^k.
     """
-    pivot_rows: dict[int, list[int]] = {}
     ncols = len(rows[0]) if rows else 0
+    pivot_rows: dict[int, dict[int, int]] = {}
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-        vec = list(r)
-        for c in range(ncols):
-            if vec[c] == 0:
-                continue
+        vec = {c: x for c, x in enumerate(r) if x}
+        while vec:
+            c = min(vec)
             row = pivot_rows.get(c)
             if row is None:
-                if vec[c] < 0:
-                    vec = [-x for x in vec]
-                pivot_rows[c] = vec
+                pivot_rows[c] = vec if vec[c] > 0 else {k: -x for k, x in vec.items()}
                 break
             a, b = row[c], vec[c]
-            if b % a == 0:
-                q = b // a
-                vec = [v - q * u for u, v in zip(row, vec)]
-            else:
-                g, x, y = xgcd(a, b)
-                pivot_rows[c] = [x * u + y * v for u, v in zip(row, vec)]
-                vec = [(a // g) * v - (b // g) * u for u, v in zip(row, vec)]
-    return [pivot_rows[c] for c in sorted(pivot_rows)]
+            g, x, y = xgcd(a, b)
+            pivot_rows[c] = _combine(x, row, y, vec)
+            vec = _combine(-(b // g), row, a // g, vec)
+    return [pivot_rows[c][c] for c in sorted(pivot_rows)]
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix."""
-    if not rows:
-        return 0
-    return len(row_echelon_int(rows))
+def _combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:
+    """The sparse row p*u + q*v, without zero entries."""
+    out = {}
+    for c in u.keys() | v.keys():
+        x = p * u.get(c, 0) + q * v.get(c, 0)
+        if x:
+            out[c] = x
+    return out

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     BadSize,
@@ -285,6 +285,13 @@ def sample_targets(N: int, trials: int, seed: int) -> list[RationalPoint]:
     return targets
 
 
+def within_upper_bound(dist_sq: Fraction, mu_sq: Fraction) -> bool:
+    """Whether sqrt(dist_sq) <= mu + sqrt(2), that is e <= 2 sqrt(2) mu for
+    e = dist_sq - mu^2 - 2, decided exactly."""
+    e = dist_sq - mu_sq - 2
+    return e <= 0 or e * e <= 8 * mu_sq
+
+
 def sampled_covering_check(
     group: AbelianGroup,
     trials: int,
@@ -300,21 +307,14 @@ def sampled_covering_check(
     if N > max_dim:
         raise CvpBoundExceeded(f"N = {N} exceeds the search bound {max_dim}")
     bounds = covering_bounds(N, cyclic=group.is_cyclic)
+    mu_sq = bounds.mu_A_sq
     if cvp_cap is None:
-        cvp_cap = Fraction(*((bounds.upper_new + 1e-9) ** 2).as_integer_ratio())
+        # (mu + sqrt 2)^2 = mu^2 + 2 + sqrt(8ab)/b for mu^2 = a/b, rounded up
+        a, b = mu_sq.numerator, mu_sq.denominator
+        cvp_cap = mu_sq + 2 + Fraction(isqrt(8 * a * b) + 1, b)
     targets = [deep_hole_An(N)] + sample_targets(N, trials, seed)
-    max_sq = Fraction(0)
-    deep_sq = Fraction(0)
-    all_within = True
-    for k, tgt in enumerate(targets):
-        _, dist_sq = cvp(group, tgt, cvp_cap, max_dim=max_dim)
-        if k == 0:
-            deep_sq = dist_sq
-        if dist_sq > max_sq:
-            max_sq = dist_sq
-        if math.sqrt(float(dist_sq)) > bounds.upper_new + 1e-9:
-            all_within = False
-    reaches_lower = math.sqrt(float(max_sq)) >= bounds.lower - 1e-9
+    dists = [cvp(group, tgt, cvp_cap, max_dim=max_dim)[1] for tgt in targets]
+    max_sq = max(dists)
     return SampledCoveringReport(
         group=group.spec(),
         N=N,
@@ -322,8 +322,8 @@ def sampled_covering_check(
         seed=seed,
         lower=bounds.lower,
         upper=bounds.upper_new,
-        deep_hole_distance_sq=deep_sq,
+        deep_hole_distance_sq=dists[0],
         max_distance_sq=max_sq,
-        all_within_upper=all_within,
-        max_reaches_lower=reaches_lower,
+        all_within_upper=within_upper_bound(max_sq, mu_sq),  # every distance is within the bound when the largest is
+        max_reaches_lower=max_sq >= mu_sq,
     )

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable
 
 from .errors import BadSize, InternalInconsistency, LengthMismatch, NotInAn, OracleBoundExceeded
-from .exact import det_bareiss, int_rank, row_echelon_int
+from .exact import det_bareiss, echelon_pivots
 from .groups import AbelianGroup, GroupElement
 
 Vector = tuple[int, ...]
@@ -246,35 +246,23 @@ def gram_report(vectors: list[Vector]) -> GramReport:
 
 def span_rank(vectors: list[Vector]) -> int:
     """Rank over the rationals of the span of the vectors."""
-    return int_rank([list(v) for v in vectors])
+    return len(echelon_pivots(vectors))
 
 
 def index_from_generators(vectors: list[Vector]) -> int:
-    """Index in A_{N-1} of the sublattice the vectors generate, by Hermite normal form.
+    """Index in A_{N-1} of the sublattice the vectors generate.
 
-    Vectors are rewritten in the standard basis e_{i-1} - e_i of A_{N-1}
-    (coordinates are prefix sums), echelonized exactly, and the index is the
-    product of the pivots. Returns 0 when the span has deficient rank.
+    Dropping the last coordinate maps A_{N-1} isomorphically onto Z^{N-1},
+    so the index is the product of the echelon pivots of the vectors without
+    their last coordinate. Returns 0 when the span has deficient rank.
     """
     if not vectors:
         raise ValueError("need at least one generator")
     N = len(vectors[0])
-    coords = []
     for v in vectors:
         if len(v) != N:
             raise LengthMismatch("vectors must all have the same length")
         if sum(v) != 0:
             raise NotInAn("generators must lie in A_{N-1}")
-        prefix = []
-        acc = 0
-        for c in v[:-1]:
-            acc += c
-            prefix.append(acc)
-        coords.append(prefix)
-    echelon = row_echelon_int(coords)
-    if len(echelon) < N - 1:
-        return 0
-    index = 1
-    for r, row in enumerate(echelon):
-        index *= row[r]
-    return index
+    pivots = echelon_pivots([v[:-1] for v in vectors])
+    return prod(pivots) if len(pivots) == N - 1 else 0

@@ -50,7 +50,9 @@ def test_criterion_1_determinant_law():
     with criterion(1, "determinant N^3"):
         for g in all_canonical_groups(2, 64):
             result = build_minimal_basis(g)
-            assert gram_report(list(result.vectors)).det == g.order**3, g.spec()
+            det = gram_report(list(result.vectors)).det
+            assert det == g.order**3, g.spec()
+            assert result.report.gram_det_sq == det, g.spec()
 
 
 def test_criterion_2_minimal_vector_bases():

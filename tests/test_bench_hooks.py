@@ -30,3 +30,15 @@ def test_span_recorder_installs_counts_and_restores():
     assert metrics["cli.main.calls"] == 2
     assert metrics["geometry.cvp.calls"] == 4  # the deep hole plus three trials
     assert metrics["lattice.svp_oracle.count"] > 0
+
+
+def test_basis_certification_skips_bareiss():
+    rec = spans.Recorder()
+    restore = rec.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["basis", "--group", "1x7", "--json"]) == 0
+    finally:
+        restore()
+    assert rec.counts["basis.verify_basis.calls"] == 1
+    assert rec.metrics()["exact.det_bareiss.calls"] == 0

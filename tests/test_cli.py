@@ -132,6 +132,18 @@ def test_usage_errors(capsys):
     assert run(capsys, "density", "--from", "1", "--to", "5")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--cvp-cap", "inf"), ("--cvp-cap", "1e400"), ("--cvp-cap", "0"), ("--cvp-cap", "1/0"), ("--trials", "-3")],
+)
+def test_covering_rejects_bad_values(capsys, flag, value):
+    code = main(["covering", "--group", "1x5", "--trials", "2", flag, value, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err and flag in captured.err
+
+
 def test_curve_prime_bound(capsys, monkeypatch):
     monkeypatch.delenv("EC_LATTICE_MAX_P", raising=False)
     assert run(capsys, "curve", "--curve", "101,2,3", "--max-p", "50")[0] == 2

@@ -19,6 +19,7 @@ from eclat.geometry import (
     sample_targets,
     sampled_covering_check,
     splitmix64,
+    within_upper_bound,
     zeta,
 )
 from eclat.groups import AbelianGroup, canonical_groups_of_order
@@ -178,6 +179,17 @@ def test_covering_bound_chain():
         rep = covering_bounds(N, cyclic=True)
         assert rep.lower <= rep.upper_new <= rep.upper_old - 1e-12
         assert abs(rep.lower - math.sqrt(float(rep.mu_A_sq))) < 1e-12
+
+
+def test_within_upper_bound_is_exact():
+    # N = 4: mu = 1, so the bound is (1 + sqrt 2)^2 = 5.82842712474619009...
+    mu_sq = covering_radius_An_sq(4)
+    above = Fraction(5828427125, 10**9)  # 2.5e-10 above the bound
+    below = Fraction(5828427124, 10**9)  # 7.5e-10 below it
+    assert math.sqrt(float(above)) <= covering_bounds(4).upper_new + 1e-9  # a float test with slack accepts it
+    assert not within_upper_bound(above, mu_sq)
+    assert within_upper_bound(below, mu_sq)
+    assert within_upper_bound(mu_sq, mu_sq)
 
 
 def test_splitmix64_reference_sequence():

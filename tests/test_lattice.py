@@ -123,6 +123,21 @@ def test_index_from_generators_hnf_oracle():
         index_from_generators([(1, 0, 0)])
 
 
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_index_matches_gram_determinant(N, data):
+    # dropping the last coordinate maps A_{N-1} onto Z^{N-1}, so N-1 vectors
+    # of A_{N-1} have Gram determinant N * index^2
+    row = st.lists(st.integers(-3, 3), min_size=N - 1, max_size=N - 1)
+    heads = data.draw(st.lists(row, min_size=N - 1, max_size=N - 1))
+    if data.draw(st.booleans()):
+        # make the last vector an integer combination of the others: rank below N-1
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=N - 2, max_size=N - 2))
+        heads[-1] = [sum(c * h[i] for c, h in zip(coeffs, heads)) for i in range(N - 1)]
+    vs = [tuple(h) + (-sum(h),) for h in heads]
+    assert N * index_from_generators(vs) ** 2 == gram_report(vs).det
+
+
 def test_span_rank():
     assert span_rank(cyclic(4).minimal_vectors()) == 2
     assert span_rank([]) == 0
