@@ -70,11 +70,26 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _max_p(args) -> int:
     if args.max_p is not None:
         return args.max_p
     env = os.environ.get("EC_LATTICE_MAX_P")
-    return int(env) if env else curves.DEFAULT_MAX_P
+    if not env:
+        return curves.DEFAULT_MAX_P
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"EC_LATTICE_MAX_P: {exc}") from None
 
 
 def cmd_group(args) -> int:
@@ -326,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="curve -> group -> lattice pipeline")
     p.add_argument("--curve", type=_curve_arg, required=True, metavar="p,a,b")
-    p.add_argument("--max-p", type=int, default=None, help="prime bound (default env EC_LATTICE_MAX_P or 10000)")
+    p.add_argument(
+        "--max-p", type=_positive_int, default=None, help="prime bound (default env EC_LATTICE_MAX_P or 10000)"
+    )
     p.add_argument(
         "--max-basis-n",
         type=int,

@@ -2,14 +2,18 @@
 
 Point enumeration is brute force over x, so curves are capped at a desk-scale
 prime bound. The group structure Z/n1 x Z/n2 (n1 | n2, n1 | p-1) is computed
-by scanning for a generator pair and labelling every point by its (a, b)
-coordinates with respect to that pair.
+from one factorization of N = n1*n2: by the Weil pairing only primes q with
+q^2 | N and q | p-1 can divide n1, and q's share of n1 is read off the Sylow
+q-subgroup. A generator pair is then chosen by a fixed scan, and labelling
+every point by its (a, b) coordinates with respect to that pair certifies the
+structure, so the cost grows with N additions, not N order computations
+(Washington, Elliptic Curves: Number Theory and Cryptography, section 4.3).
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from math import lcm
 
 from .errors import (
     CurveTooLarge,
@@ -86,8 +90,9 @@ class Curve:
         while k:
             if k & 1:
                 result = self.add(result, addend)
-            addend = self.add(addend, addend)
             k >>= 1
+            if k:
+                addend = self.add(addend, addend)
         return result
 
     def points(self, max_p: int = DEFAULT_MAX_P) -> list[CurvePoint]:
@@ -153,10 +158,17 @@ def point_order(curve: Curve, point: CurvePoint, group_order: int) -> int:
 def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     """Structure (n1, n2) with n1 | n2 of the group formed by the points.
 
-    The generator pair is found by scanning: g2 of maximal order n2 first,
-    then g1 of order n1 = N/n2 whose span meets the span of g2 trivially.
-    The scan order is fixed (infinity first, affine points sorted) so the
-    result does not depend on the order of the input list.
+    N is factored once. By the Weil pairing n1 | p-1, so only a prime q with
+    q^2 | N and q | p-1 can divide n1; for each such q the Sylow q-subgroup is
+    grown from the points (N/q^e)P until it has q^e elements, and its exponent
+    q^k gives q^(e-k) as q's share of n1. Then g2 is the first point of exact
+    order n2 = N/n1, and g1 the first point of exact order n1 whose span meets
+    the span of g2 only in the identity. Labelling every point by its (a, b)
+    coordinates certifies the result: n2*g2 and n1*g1 are checked to be the
+    identity and the labels to be a bijection, so a point set that is not a
+    group raises InternalInconsistency. The scan order is fixed (infinity
+    first, affine points sorted), so the result does not depend on the order
+    of the input list.
     """
     pts = set(points)
     if None not in pts:
@@ -166,48 +178,56 @@ def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     count = len(pts)
     ordered = [None] + sorted(pt for pt in pts if pt is not None)
 
-    orders = {pt: point_order(curve, pt, count) for pt in ordered}
-    n2 = 1
-    for o in orders.values():
-        n2 = lcm(n2, o)
-    if count % n2 != 0:
-        raise InternalInconsistency("group exponent does not divide the group order")
-    n1 = count // n2
+    factors = factorize(count)
+    n1 = 1
+    for q, e in factors.items():
+        if e >= 2 and (curve.p - 1) % q == 0:
+            n1 *= q ** (e - _sylow_exponent(curve, ordered, count // q**e, q, e))
+    n2 = count // n1
 
-    g2 = next((pt for pt in ordered if orders[pt] == n2), None)
-    if g2 is None and n2 > 1:
+    # n2*g2 = O is left to the labelling, whose rows close only if it holds
+    for g2 in ordered:
+        if _has_exact_order(curve, g2, n2, factors):
+            break
+    else:
         raise InternalInconsistency("no point realizes the group exponent")
-    span_g2 = _cyclic_span(curve, g2, n2)
-    if len(span_g2) != n2:
-        raise InternalInconsistency("generator span smaller than its order")
 
-    g1: CurvePoint = None
-    if n1 > 1:
-        for candidate in ordered:
-            if orders[candidate] != n1:
-                continue
-            if _span_meets_trivially(curve, candidate, n1, span_g2):
-                g1 = candidate
-                break
-        else:
-            raise InternalInconsistency("no complementary generator found")
-
-    structure = AbelianGroup(n1, n2)
     labels: dict[CurvePoint, GroupElement] = {}
     indexed: list[CurvePoint] = []
-    row_start: CurvePoint = None
-    for a in range(n1):
+
+    def label_row(a: int, row_start: CurvePoint) -> None:
         pt = row_start
         for b in range(n2):
             labels[pt] = (a, b)
             indexed.append(pt)
             pt = curve.add(pt, g2)
+        if pt != row_start:
+            raise InternalInconsistency(f"n2 * g2 is not the identity for n2 = {n2}")
+
+    label_row(0, None)
+    g1: CurvePoint = None
+    if n1 > 1:
+        if (curve.p - 1) % n1 != 0:
+            raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {curve.p - 1}")
+        for candidate in ordered:
+            if (
+                curve.mul(n1, candidate) is None
+                and _has_exact_order(curve, candidate, n1, factors)
+                and _span_meets_trivially(curve, candidate, n1, labels)  # labels holds row 0, the span of g2
+            ):
+                g1 = candidate
+                break
+        else:
+            raise InternalInconsistency("no complementary generator found")
+    row_start = g1
+    for a in range(1, n1):
+        label_row(a, row_start)
         row_start = curve.add(row_start, g1)
+    if row_start is not None:
+        raise InternalInconsistency(f"n1 * g1 is not the identity for n1 = {n1}")
     if len(labels) != count or set(indexed) != pts:
         raise InternalInconsistency("generator pair does not label the group bijectively")
-    if n1 > 1 and (curve.p - 1) % n1 != 0:
-        raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {curve.p - 1}")
-    return CurveGroup(curve, structure, tuple(indexed), (g1, g2), labels)
+    return CurveGroup(curve, AbelianGroup(n1, n2), tuple(indexed), (g1, g2), labels)
 
 
 def curve_group(curve: Curve, max_p: int = DEFAULT_MAX_P) -> CurveGroup:
@@ -233,16 +253,49 @@ def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
     return group_structure(list(closure), cg.curve)
 
 
-def _cyclic_span(curve: Curve, point: CurvePoint, order: int) -> set[CurvePoint]:
-    span = set()
-    acc: CurvePoint = None
-    for _ in range(order):
-        span.add(acc)
-        acc = curve.add(acc, point)
-    return span
+def _sylow_exponent(curve: Curve, ordered: list[CurvePoint], cofactor: int, q: int, e: int) -> int:
+    """k with q^k the exponent of the Sylow q-subgroup of order q^e.
+
+    The subgroup is grown from the points cofactor*P in scan order until it
+    has q^e elements; its exponent is the largest order among the points that
+    enlarged it. Every loop is bounded by e or by q^e.
+    """
+    size = q**e
+    sylow: set[CurvePoint] = {None}
+    k = 0
+    for pt in ordered:
+        if len(sylow) == size:
+            return k
+        Q = curve.mul(cofactor, pt)
+        if Q in sylow:
+            continue
+        order_exp, R = 0, Q
+        while R is not None:
+            if order_exp == e:
+                raise InternalInconsistency(f"a point order does not divide the group order {cofactor * size}")
+            R = curve.mul(q, R)
+            order_exp += 1
+        k = max(k, order_exp)
+        coset, step = list(sylow), Q
+        while step not in sylow:
+            if len(sylow) + len(coset) > size:
+                raise InternalInconsistency(f"the Sylow {q}-subgroup has more than {size} elements")
+            sylow.update(curve.add(h, step) for h in coset)
+            step = curve.add(step, Q)
+    if len(sylow) != size:
+        raise InternalInconsistency(f"the Sylow {q}-subgroup has fewer than {size} elements")
+    return k
 
 
-def _span_meets_trivially(curve: Curve, point: CurvePoint, order: int, other_span: set[CurvePoint]) -> bool:
+def _has_exact_order(curve: Curve, point: CurvePoint, order: int, primes: Iterable[int]) -> bool:
+    """True when (order/q)*point is not the identity for every prime q | order in primes.
+
+    Where order*point is the identity, this says the point has exact order ``order``.
+    """
+    return all(curve.mul(order // q, point) is not None for q in primes if order % q == 0)
+
+
+def _span_meets_trivially(curve: Curve, point: CurvePoint, order: int, other_span: Container[CurvePoint]) -> bool:
     acc = point
     for _ in range(order - 1):
         if acc in other_span:

@@ -23,10 +23,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def inv_mod(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
 def is_prime(n: int) -> bool:

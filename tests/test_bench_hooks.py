@@ -42,3 +42,17 @@ def test_basis_certification_skips_bareiss():
         restore()
     assert rec.counts["basis.verify_basis.calls"] == 1
     assert rec.metrics()["exact.det_bareiss.calls"] == 0
+
+
+def test_curve_structure_skips_point_orders():
+    # y^2 = x^3 + x over F_9973 has full 2-torsion, so its Sylow 2-subgroup is searched
+    rec = spans.Recorder()
+    restore = rec.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["curve", "--curve", "9973,1,0", "--json"]) == 0
+    finally:
+        restore()
+    metrics = rec.metrics()
+    assert metrics["curves.point_order.calls"] == 0
+    assert metrics["exact.factorize.calls"] <= 2

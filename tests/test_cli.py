@@ -156,6 +156,23 @@ def test_curve_prime_bound(capsys, monkeypatch):
     assert json.loads(out)["p"] == 101
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+@pytest.mark.parametrize("source", ["--max-p", "EC_LATTICE_MAX_P"])
+def test_curve_rejects_bad_prime_bound(capsys, monkeypatch, source, value):
+    argv = ["curve", "--curve", "101,2,3", "--json"]
+    if source == "--max-p":
+        monkeypatch.delenv("EC_LATTICE_MAX_P", raising=False)
+        argv += ["--max-p", value]
+    else:
+        monkeypatch.setenv("EC_LATTICE_MAX_P", value)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert source in captured.err and "positive integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "eclat.cli", "group", "--group", "2x2", "--json"],

@@ -1,9 +1,12 @@
 import random
+from math import lcm
 
 import pytest
 
-from eclat.curves import Curve, curve_group, group_structure, point_order, subgroup
-from eclat.errors import CurveTooLarge, PointNotOnCurve, SingularCurve
+from eclat.curves import Curve, CurveGroup, curve_group, group_structure, point_order, subgroup
+from eclat.errors import CurveTooLarge, InternalInconsistency, PointNotOnCurve, SingularCurve
+from eclat.exact import inv_mod, is_prime, xgcd
+from eclat.groups import AbelianGroup
 
 
 def test_curve_validation():
@@ -152,3 +155,164 @@ def test_subgroup_is_canonical():
     for P in cg.points:
         sub = subgroup(cg, [P])
         assert sub.structure.n % sub.structure.m == 0
+
+
+def test_inv_mod_matches_xgcd_inverse():
+    for m in range(1, 60):
+        for a in range(-70, 71):
+            g, x, _ = xgcd(a % m, m)
+            if g == 1:
+                assert inv_mod(a, m) == x % m
+            else:
+                with pytest.raises(ValueError, match=f"^{a} is not invertible modulo {m}$"):
+                    inv_mod(a, m)
+
+
+def test_mul_matches_repeated_addition():
+    c = Curve(13, 2, 2)
+    N = len(c.points())
+    for P in c.points():
+        multiples = {0: None}
+        for k in range(1, 2 * N + 1):
+            multiples[k] = c.add(multiples[k - 1], P)
+            multiples[-k] = c.neg(multiples[k])
+        for k, expected in multiples.items():
+            assert c.mul(k, P) == expected
+
+
+# The all-orders scan group_structure used before the Sylow search, kept as a
+# reference: it computes every point's order, takes n2 as their lcm, and picks
+# the generators by the same rules.
+def _all_orders_group_structure(points, curve):
+    pts = set(points)
+    if None not in pts:
+        raise PointNotOnCurve("the point list must contain the identity (point at infinity)")
+    for pt in pts:
+        curve.require_point(pt)
+    count = len(pts)
+    ordered = [None] + sorted(pt for pt in pts if pt is not None)
+
+    orders = {pt: point_order(curve, pt, count) for pt in ordered}
+    n2 = 1
+    for o in orders.values():
+        n2 = lcm(n2, o)
+    if count % n2 != 0:
+        raise InternalInconsistency("group exponent does not divide the group order")
+    n1 = count // n2
+
+    g2 = next((pt for pt in ordered if orders[pt] == n2), None)
+    if g2 is None and n2 > 1:
+        raise InternalInconsistency("no point realizes the group exponent")
+    span_g2 = _cyclic_span(curve, g2, n2)
+    if len(span_g2) != n2:
+        raise InternalInconsistency("generator span smaller than its order")
+
+    g1 = None
+    if n1 > 1:
+        for candidate in ordered:
+            if orders[candidate] != n1:
+                continue
+            if _span_meets_trivially(curve, candidate, n1, span_g2):
+                g1 = candidate
+                break
+        else:
+            raise InternalInconsistency("no complementary generator found")
+
+    structure = AbelianGroup(n1, n2)
+    labels = {}
+    indexed = []
+    row_start = None
+    for a in range(n1):
+        pt = row_start
+        for b in range(n2):
+            labels[pt] = (a, b)
+            indexed.append(pt)
+            pt = curve.add(pt, g2)
+        row_start = curve.add(row_start, g1)
+    if len(labels) != count or set(indexed) != pts:
+        raise InternalInconsistency("generator pair does not label the group bijectively")
+    if n1 > 1 and (curve.p - 1) % n1 != 0:
+        raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {curve.p - 1}")
+    return CurveGroup(curve, structure, tuple(indexed), (g1, g2), labels)
+
+
+def _cyclic_span(curve, point, order):
+    span = set()
+    acc = None
+    for _ in range(order):
+        span.add(acc)
+        acc = curve.add(acc, point)
+    return span
+
+
+def _span_meets_trivially(curve, point, order, other_span):
+    acc = point
+    for _ in range(order - 1):
+        if acc in other_span:
+            return False
+        acc = curve.add(acc, point)
+    return True
+
+
+def _assert_matches_oracle(cg):
+    expected = _all_orders_group_structure(list(cg.points), cg.curve)
+    assert (cg.structure.m, cg.structure.n) == (expected.structure.m, expected.structure.n)
+    assert cg.generators == expected.generators
+    assert cg.points == expected.points
+
+
+def test_group_structure_matches_all_orders_oracle():
+    # every nonsingular curve over 5 <= p <= 31, and the subgroup of its first two non-identity points
+    curves_seen = 0
+    for p in filter(is_prime, range(5, 32)):
+        for a in range(p):
+            for b in range(p):
+                try:
+                    c = Curve(p, a, b)
+                except SingularCurve:
+                    continue
+                cg = curve_group(c)
+                _assert_matches_oracle(cg)
+                _assert_matches_oracle(subgroup(cg, list(cg.points[1:3])))
+                curves_seen += 1
+    assert curves_seen == 3190
+
+
+def test_group_structure_rejects_non_group():
+    c = Curve(101, 21, 89)
+    P = next(pt for pt in c.points() if pt is not None and c.add(pt, pt) is not None)
+    with pytest.raises(InternalInconsistency):
+        group_structure([None, P], c)
+
+
+def _closed(curve, pts):
+    return all(curve.add(P, Q) in pts for P in pts for Q in pts)
+
+
+def test_group_structure_accepts_only_closed_sets():
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for p, a, b in ((101, 21, 89), (103, 1, 0), (109, 3, 7), (127, 0, 5)):
+        c = Curve(p, a, b)
+        cg = curve_group(c)
+        for _ in range(60):
+            if rng.random() < 0.5:
+                # a subgroup, possibly with one point dropped or one added
+                sub = set(subgroup(cg, rng.sample(cg.points, rng.randint(1, 2))).points)
+                tweak = rng.choice(("none", "drop", "add"))
+                if tweak == "drop" and len(sub) > 1:
+                    sub.discard(rng.choice(sorted(pt for pt in sub if pt is not None)))
+                elif tweak == "add":
+                    sub.add(rng.choice(cg.points))
+            else:
+                sub = {None, *rng.sample(cg.points, rng.randint(1, 12))}
+            try:
+                result = group_structure(list(sub), c)
+            except InternalInconsistency:
+                assert not _closed(c, sub)
+                rejected += 1
+            else:
+                assert _closed(c, sub)
+                assert set(result.points) == sub
+                accepted += 1
+    assert accepted > 0 and rejected > 0
