@@ -110,26 +110,25 @@ def cmd_group(args) -> int:
 def cmd_basis(args) -> int:
     g = args.group
     result = basis_mod.build_minimal_basis(g)
+    vectors = result.vectors
     payload = {
         "group": g.spec(),
         "kind": result.kind,
         "certified": result.certified,
         "gram_det_sq": result.report.gram_det_sq,
-        "vectors": result.vectors,
+        "vectors": vectors,
     }
     if result.kind == "exceptional_cyclic_4":
         payload["span_rank"] = span_rank(Lattice(g).minimal_vectors())
     if args.json:
         _emit(args, payload)
     elif args.csv:
-        writer = csv.writer(sys.stdout)
-        for v in result.vectors:
-            writer.writerow(v)
+        csv.writer(sys.stdout).writerows(vectors)
     else:
         print(f"group {g.spec()}: kind {result.kind}, certified {result.certified}")
-        for v in result.vectors:
+        for v in vectors:
             print(",".join(str(c) for c in v))
-    if result.kind != "exceptional_cyclic_4" and not result.certified:
+    if not result.accepted:
         print(f"certification failed for {g.spec()}", file=sys.stderr)
         return 1
     return 0
@@ -170,10 +169,7 @@ def cmd_verify(args) -> int:
         "certified": report.certified,
     }
     _emit(args, payload)
-    if result.kind == "exceptional_cyclic_4":
-        ok = report.all_in_lattice and report.count_ok and report.gram_det_sq_ok
-        return 0 if ok else 1
-    return 0 if report.certified else 1
+    return 0 if result.accepted else 1
 
 
 def cmd_density(args) -> int:
@@ -281,9 +277,7 @@ def cmd_curve(args) -> int:
             file=sys.stderr,
         )
     _emit(args, payload)
-    if result is not None and result.kind != "exceptional_cyclic_4" and not result.certified:
-        return 1
-    return 0
+    return 0 if result is None or result.accepted else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

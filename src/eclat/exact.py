@@ -99,21 +99,17 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def echelon_pivots(rows: list[tuple[int, ...]]) -> list[int]:
+def echelon_pivots(rows: list[dict[int, int]]) -> list[int]:
     """Positive pivots, in column order, of an integer echelon form of the rows.
 
-    Rows are held sparse as {column: entry} and reduced with extended-gcd
-    row operations, which are unimodular, so the pivot rows generate the same
-    Z-module as the input. The number of pivots is the rank over the
-    rationals; when every one of the k columns has a pivot, the product of
-    the pivots is the index of the rows' Z-span in Z^k.
+    Rows are sparse, {column: nonzero entry}, and are reduced with
+    extended-gcd row operations, which are unimodular, so the pivot rows
+    generate the same Z-module as the input. The number of pivots is the
+    rank over the rationals; when every one of the k columns has a pivot,
+    the product of the pivots is the index of the rows' Z-span in Z^k.
     """
-    ncols = len(rows[0]) if rows else 0
     pivot_rows: dict[int, dict[int, int]] = {}
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        vec = {c: x for c, x in enumerate(r) if x}
+    for vec in rows:
         while vec:
             c = min(vec)
             row = pivot_rows.get(c)

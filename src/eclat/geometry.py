@@ -164,7 +164,7 @@ def retract(group: AbelianGroup, v: Vector) -> Vector:
         raise LengthMismatch(f"expected length {group.order}, got {len(v)}")
     if sum(v) != 0:
         raise NotInAn("coordinates must sum to zero")
-    s = group.weighted_sum(v)
+    s = group.weighted_sum(enumerate(v))
     if s == group.identity:
         return tuple(v)
     out = list(v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .exact import crt, factorize
 
@@ -75,14 +75,13 @@ class AbelianGroup:
             raise IndexError(f"element index {index} out of range for order {self.order}")
         return divmod(index, self.n)
 
-    def weighted_sum(self, v: Sequence[int]) -> GroupElement:
-        """The element sum(v[i] * element_at(i)), read off coordinate i as divmod(i, n)."""
+    def weighted_sum(self, terms: Iterable[tuple[int, int]]) -> GroupElement:
+        """The element sum(c * element_at(i)) over the (i, c) terms, read off i as divmod(i, n)."""
         wa = wb = 0
-        for i, c in enumerate(v):
-            if c:
-                a, b = divmod(i, self.n)
-                wa += c * a
-                wb += c * b
+        for i, c in terms:
+            a, b = divmod(i, self.n)
+            wa += c * a
+            wb += c * b
         return (wa % self.m, wb % self.n)
 
     def elements(self) -> list[GroupElement]:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
-from typing import Callable
+from math import gcd, isqrt, prod
+from typing import Callable, Sequence
 
 from .errors import BadSize, InternalInconsistency, LengthMismatch, NotInAn, OracleBoundExceeded
 from .exact import det_bareiss, echelon_pivots
 from .groups import AbelianGroup, GroupElement
 
 Vector = tuple[int, ...]
+# a vector held by its nonzero entries, {coordinate: entry}
+Support = dict[int, int]
 
 SVP_ORACLE_MAX_DIM = 12
 
@@ -49,7 +51,7 @@ class Lattice:
         g = self.group
         if len(v) != g.order:
             raise LengthMismatch(f"expected length {g.order}, got {len(v)}")
-        return sum(v) == 0 and g.weighted_sum(v) == g.identity
+        return sum(v) == 0 and g.weighted_sum(enumerate(v)) == g.identity
 
     def minimal_distance_sq(self) -> int:
         """Squared minimal distance: 4 for N >= 4, 6 for N = 3, 8 for N = 2.
@@ -97,8 +99,12 @@ class Lattice:
         return out
 
     def count_minimal_vectors(self) -> int:
-        """Number of minimal vectors, by the same pair-sum enumeration as
-        minimal_vectors but without materializing the vectors."""
+        """Number of minimal vectors, in closed form for N >= 4.
+
+        Each class of pairs {P, Q} with a fixed sum s gives k(k-1) vectors
+        for its k pairs. The a = N/T sums in 2G, where T = |G[2]|, have
+        (N-T)/2 pairs each; the N-a other sums have N/2 pairs each.
+        """
         g = self.group
         N = g.order
         if N < 2:
@@ -107,7 +113,9 @@ class Lattice:
             return 2
         if N == 3:
             return 6
-        return sum(len(pairs) * (len(pairs) - 1) for pairs in _pair_classes(g))
+        T = gcd(2, g.m) * gcd(2, g.n)
+        a, c1, c0 = N // T, (N - T) // 2, N // 2
+        return a * c1 * (c1 - 1) + (N - a) * c0 * (c0 - 1)
 
     def svp_oracle(self, norm_sq_bound: int, *, max_dim: int = SVP_ORACLE_MAX_DIM) -> list[Vector]:
         """Every nonzero lattice vector with squared norm <= the bound, sorted.
@@ -244,18 +252,29 @@ def gram_report(vectors: list[Vector]) -> GramReport:
     return GramReport(tuple(tuple(row) for row in gram), det_bareiss(gram))
 
 
+def support(v: Sequence[int]) -> Support:
+    """The nonzero entries of a dense vector."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def dense(v: Support, N: int) -> Vector:
+    """The length-N tuple with the entries of a support."""
+    out = [0] * N
+    for i, c in v.items():
+        out[i] = c
+    return tuple(out)
+
+
 def span_rank(vectors: list[Vector]) -> int:
     """Rank over the rationals of the span of the vectors."""
-    return len(echelon_pivots(vectors))
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise ValueError("ragged matrix")
+    return len(echelon_pivots([support(v) for v in vectors]))
 
 
 def index_from_generators(vectors: list[Vector]) -> int:
-    """Index in A_{N-1} of the sublattice the vectors generate.
-
-    Dropping the last coordinate maps A_{N-1} isomorphically onto Z^{N-1},
-    so the index is the product of the echelon pivots of the vectors without
-    their last coordinate. Returns 0 when the span has deficient rank.
-    """
+    """Index in A_{N-1} of the sublattice the vectors generate; 0 when the
+    span has deficient rank."""
     if not vectors:
         raise ValueError("need at least one generator")
     N = len(vectors[0])
@@ -264,5 +283,15 @@ def index_from_generators(vectors: list[Vector]) -> int:
             raise LengthMismatch("vectors must all have the same length")
         if sum(v) != 0:
             raise NotInAn("generators must lie in A_{N-1}")
-    pivots = echelon_pivots([v[:-1] for v in vectors])
+    return support_index([support(v) for v in vectors], N)
+
+
+def support_index(vectors: list[Support], N: int) -> int:
+    """Index in A_{N-1} of the sublattice that zero-sum supports generate.
+
+    Dropping the last coordinate maps A_{N-1} isomorphically onto Z^{N-1},
+    so the index is the product of the echelon pivots of the vectors without
+    their last coordinate. Returns 0 when the span has deficient rank.
+    """
+    pivots = echelon_pivots([{i: c for i, c in v.items() if i != N - 1} for v in vectors])
     return prod(pivots) if len(pivots) == N - 1 else 0

@@ -12,7 +12,7 @@ from eclat.basis import (
 )
 from eclat.errors import BadShape, BadSize
 from eclat.groups import AbelianGroup, canonical_groups_of_order
-from eclat.lattice import Lattice, gram_report, span_rank
+from eclat.lattice import Lattice, dense, gram_report, span_rank, support
 
 
 def norm_sq(v):
@@ -20,7 +20,7 @@ def norm_sq(v):
 
 
 def test_cyclic_basis_rows_n5():
-    rows = cyclic_basis(5)
+    rows = [dense(v, 5) for v in cyclic_basis(5)]
     assert rows[0] == (1, 1, -1, 0, -1)
     assert rows[1] == (1, 0, 1, -1, -1)
     assert rows[2] == (-1, 1, 1, -1, 0)
@@ -32,7 +32,7 @@ def test_cyclic_basis_certified():
         rows = cyclic_basis(n)
         report = verify_basis(AbelianGroup(1, n), rows)
         assert report.certified
-    assert gram_report(cyclic_basis(6)).det == 216
+    assert gram_report([dense(v, 6) for v in cyclic_basis(6)]).det == 216
 
 
 def test_cyclic_basis_bad_size():
@@ -41,9 +41,9 @@ def test_cyclic_basis_bad_size():
 
 
 def test_small_cyclic_basis():
-    assert small_cyclic_basis(2) == [(-2, 2)]
+    assert [dense(v, 2) for v in small_cyclic_basis(2)] == [(-2, 2)]
     assert norm_sq((-2, 2)) == 8
-    rows = small_cyclic_basis(3)
+    rows = [dense(v, 3) for v in small_cyclic_basis(3)]
     assert rows == [(-2, 1, 1), (1, -2, 1)]
     assert gram_report(rows).det == 27
     lat = Lattice(AbelianGroup(1, 3))
@@ -54,20 +54,20 @@ def test_small_cyclic_basis():
 
 def test_klein_basis():
     rows = klein_basis()
-    report = gram_report(rows)
+    report = gram_report([dense(v, 4) for v in rows])
     assert report.det == 64
     assert report.gram == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
-    assert all(norm_sq(v) == 4 for v in rows)
+    assert all(norm_sq(dense(v, 4)) == 4 for v in rows)
     assert verify_basis(AbelianGroup(2, 2), rows).certified
 
 
 def test_explicit_small_bases():
     rows24 = explicit_small_basis((2, 4))
-    assert rows24[6] == (1, -1, 0, 0, 1, 0, 0, -1)
+    assert dense(rows24[6], 8) == (1, -1, 0, 0, 1, 0, 0, -1)
     rows33 = explicit_small_basis((3, 3))
-    assert rows33[7] == (1, 0, 0, -1, -1, 0, 0, 1, 0)
+    assert dense(rows33[7], 9) == (1, 0, 0, -1, -1, 0, 0, 1, 0)
     rows44 = explicit_small_basis((4, 4))
-    assert gram_report(rows44).det == 4096
+    assert gram_report([dense(v, 16) for v in rows44]).det == 4096
     for shape, rows in [((2, 4), rows24), ((3, 3), rows33), ((4, 4), rows44)]:
         assert verify_basis(AbelianGroup(*shape), rows).certified
     with pytest.raises(BadShape):
@@ -78,9 +78,9 @@ def test_rect_basis_2x5_layout():
     rows = rect_basis(2, 5)
     assert len(rows) == 9
     # cross vector: (0,1)-(0,2) paired against (1,1)-(1,2)
-    assert rows[7] == (0, 1, -1, 0, 0, 0, -1, 1, 0, 0)
+    assert dense(rows[7], 10) == (0, 1, -1, 0, 0, 0, -1, 1, 0, 0)
     # closing vector for two parts
-    assert rows[8] == (0, 1, 1, 0, 0, 0, -1, -1, 0, 0)
+    assert dense(rows[8], 10) == (0, 1, 1, 0, 0, 0, -1, -1, 0, 0)
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (3, 5), (4, 5), (2, 6), (3, 6), (4, 8), (5, 5), (5, 6), (6, 7)])
@@ -93,7 +93,7 @@ def test_rect_basis_certified(shape):
 
 def test_rect_basis_counts():
     assert len(rect_basis(3, 5)) == 14
-    assert gram_report(rect_basis(5, 5)).det == 15625
+    assert gram_report([dense(v, 25) for v in rect_basis(5, 5)]).det == 15625
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (4, 4), (1, 6), (6, 5), (5, 4)])
@@ -141,6 +141,30 @@ def test_build_3x6():
     assert result.report.gram_det_sq == 18**3
 
 
+@pytest.mark.parametrize(
+    "shape,kind",
+    [((1, 10000), "cyclic_basis1"), ((2, 5000), "rect_2xn"), ((3, 3000), "rect_3xn"), ((4, 2500), "rect_4xn"), ((100, 100), "rect_mxn")],
+)
+def test_build_certifies_large_groups(shape, kind):
+    g = AbelianGroup(*shape)
+    result = build_minimal_basis(g)
+    assert result.kind == kind
+    assert result.certified and result.accepted
+    assert result.report.gram_det_sq == g.order**3
+    assert len(result.supports) == g.order - 1
+    assert all(len(v) == 4 for v in result.supports)
+
+
+@pytest.mark.parametrize("shape", [(1, 300), (2, 150), (3, 99), (4, 100), (10, 30)])
+def test_vectors_expand_supports(shape):
+    # dense vectors at N = 10^4 would hold 10^8 entries, so the expansion is checked at N <= 300
+    g = AbelianGroup(*shape)
+    result = build_minimal_basis(g)
+    vectors = result.vectors
+    assert all(len(v) == g.order for v in vectors)
+    assert [support(v) for v in vectors] == list(result.supports)
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(BadShape):
         build_minimal_basis(AbelianGroup(2, 5))  # not canonical
@@ -158,11 +182,20 @@ def test_verify_basis_flags():
     short = verify_basis(g, rows[:-1])
     assert not short.count_ok and not short.certified
 
-    doubled = rows[:-1] + [tuple(2 * c for c in rows[-1])]
+    doubled = rows[:-1] + [{i: 2 * c for i, c in rows[-1].items()}]
     scaled = verify_basis(g, doubled)
     assert scaled.gram_det_sq == 4 * 343
     assert not scaled.gram_det_sq_ok
     assert not scaled.all_minimal
+
+
+def test_verify_basis_rejects_coordinates_out_of_range():
+    # coordinates 7 and 8 of a length-7 vector: zero sum and weighted sum 1 - 7 - 8 = -14 = 0 mod 7
+    g = AbelianGroup(1, 7)
+    rows = cyclic_basis(7)[:-1] + [{0: 1, 1: 1, 7: -1, 8: -1}]
+    report = verify_basis(g, rows)
+    assert not report.all_in_lattice and not report.certified
+    assert report.gram_det_sq == 0
 
 
 @pytest.mark.parametrize("order", range(2, 41))

@@ -62,6 +62,13 @@ def test_group_report(capsys):
     }
 
 
+def test_group_count_closed_form(capsys):
+    # 2G has a = 50000 elements: a sums with (N - 2)/2 pairs each, N - a sums with N/2
+    code, out = run(capsys, "group", "--group", "1x100000", "--json")
+    assert code == 0
+    assert json.loads(out)["num_min_vecs"] == 50000 * 49999 * 49998 + 50000 * 50000 * 49999 == 249_990_000_100_000
+
+
 def test_minvec(capsys):
     code, out = run(capsys, "minvec", "--group", "1x4", "--json")
     assert code == 0
