@@ -3,7 +3,8 @@
 Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
 plain text); progress for long sweeps goes to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
-cyclic-order-4 exception), 2 on usage errors.
+cyclic-order-4 exception), 2 on usage errors, which include sizes a
+command refuses (a group of order 1, an oracle dimension above the cap).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 
 from . import basis as basis_mod
 from . import curves, geometry
-from .errors import CurveTooLarge, EclatError, SingularCurve
+from .errors import BadSize, CurveTooLarge, EclatError, OracleBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
-from .lattice import Lattice, span_rank
+from .lattice import SVP_ORACLE_MAX_DIM, Lattice, span_rank
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
@@ -70,14 +71,21 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _max_p(args) -> int:
@@ -192,8 +200,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     g = args.group
     bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
     payload = {
@@ -228,15 +234,17 @@ def cmd_covering(args) -> int:
 def cmd_oracle(args) -> int:
     g = args.group
     lat = Lattice(g)
-    bound = args.oracle_bound if args.oracle_bound else lat.minimal_distance_sq()
-    found = lat.svp_oracle(bound, max_dim=max(g.order, 12) if args.force else 12)
-    expected = [v for v in lat.minimal_vectors() if sum(c * c for c in v) <= bound]
-    agree = found == sorted(expected) if bound == lat.minimal_distance_sq() else None
+    minimum = lat.minimal_distance_sq()
+    bound = minimum if args.oracle_bound is None else args.oracle_bound
+    max_dim = max(g.order, SVP_ORACLE_MAX_DIM) if args.force else SVP_ORACLE_MAX_DIM
+    found = lat.svp_oracle(bound, max_dim=max_dim)
+    # every minimal vector has the minimal norm, so the pair-sum side is all or nothing
+    agree = found == lat.minimal_vectors() if bound == minimum else None
     payload = {
         "group": g.spec(),
         "norm_sq_bound": bound,
         "oracle_count": len(found),
-        "pair_sum_count": len(expected),
+        "pair_sum_count": lat.count_minimal_vectors() if bound >= minimum else 0,
         "agree": agree,
     }
     _emit(args, payload)
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("covering", help="covering-radius bounds and seeded random check")
     p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_nonnegative_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cvp-cap", type=_positive_fraction, default=None, help="squared-radius search cap override")
     add_format(p)
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive short-vector search cross-check")
     p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    p.add_argument("--oracle-bound", type=int, default=None, help="squared-norm bound (default: minimal)")
+    p.add_argument("--oracle-bound", type=_nonnegative_int, default=None, help="squared-norm bound (default: minimal)")
     p.add_argument("--force", action="store_true", help="lift the dimension cap")
     add_format(p)
     p.set_defaults(func=cmd_oracle)
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-basis-n",
-        type=int,
+        type=_nonnegative_int,
         default=300,
         help="largest group order for which the basis is built and certified",
     )
@@ -358,7 +366,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SingularCurve, CurveTooLarge, ValueError) as exc:
+    except (SingularCurve, CurveTooLarge, BadSize, OracleBoundExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EclatError as exc:

@@ -1,9 +1,11 @@
 """Packing density against the Minkowski-Hlawka bound, covering-radius bounds,
-deep holes of A_{N-1}, and an exact closest-vector search for desk-scale checks.
+deep holes of A_{N-1}, the retraction of A_{N-1} into the lattice, and an
+exact closest-vector search for desk-scale checks.
 
-Covering computations run in exact rational arithmetic (targets are scaled to
-integers); floating point appears only in reported bounds and log-space
-density comparisons.
+The closest-vector search scales the target to integers once and runs the
+lattice enumeration shared with the short-vector oracle, so covering checks
+are decided in exact integer arithmetic; floating point appears only in
+reported bounds and log-space density comparisons.
 """
 
 from __future__ import annotations
@@ -173,60 +175,27 @@ def retract(group: AbelianGroup, v: Vector) -> Vector:
     return tuple(out)
 
 
-def closest_An_point(target: RationalPoint) -> list[int]:
-    """Exact closest point of A_{N-1} to a zero-sum rational target.
-
-    Round every coordinate to the nearest integer, then repair the sum by
-    stepping the coordinates whose rounding residue makes the step cheapest.
-    """
-    rounded = [math.floor(t + Fraction(1, 2)) for t in target]
-    deficit = sum(rounded)
-    if deficit == 0:
-        return rounded
-    residues = [f - t for f, t in zip(rounded, target)]  # in [-1/2, 1/2]
-    order = sorted(range(len(target)), key=lambda idx: (residues[idx], idx))
-    if deficit > 0:
-        # decrement the coordinates rounded up the furthest
-        for idx in order[len(target) - deficit :]:
-            rounded[idx] -= 1
-    else:
-        for idx in order[: -deficit]:
-            rounded[idx] += 1
-    return rounded
-
-
-def cvp(
-    group: AbelianGroup,
-    target: RationalPoint,
-    radius_sq_cap: Fraction,
-    *,
-    max_dim: int = CVP_MAX_DIM,
-) -> tuple[Vector, Fraction]:
+def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> tuple[Vector, Fraction]:
     """Exact closest lattice vector to the target within the given squared radius.
 
-    The lattice enumeration around the target with a shrinking radius,
-    seeded by the retraction of the closest A_{N-1} point. Ties are broken
+    The shared lattice enumeration around the target, with the radius
+    shrinking from the cap to the best cost found so far. Ties are broken
     toward the lexicographically smallest coordinate vector. Raises
     NoPointInRadius if the cap is too small.
     """
     N = group.order
-    if N > max_dim:
-        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {max_dim}")
+    if N > CVP_MAX_DIM:
+        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
     if len(target) != N:
         raise LengthMismatch(f"expected length {N}, got {len(target)}")
-    t = [Fraction(x) for x in target]
-    if sum(t) != 0:
+    D = lcm(*(x.denominator for x in target), 1)
+    ts = [x.numerator * (D // x.denominator) for x in target]
+    if sum(ts) != 0:
         raise NotInAn("target must lie in the zero-sum hyperplane")
     cap = Fraction(radius_sq_cap)
-
-    D = lcm(*(x.denominator for x in t), 1)
-    ts = [int(x * D) for x in t]
     DD = D * D
     cap_scaled = (cap.numerator * DD) // cap.denominator  # floor; costs are integers
-
-    warm = retract(group, tuple(closest_An_point(tuple(t))))
-    warm_cost = sum((D * x - c) ** 2 for x, c in zip(warm, ts))
-    best: tuple[int, Vector] | None = (warm_cost, warm) if warm_cost <= cap_scaled else None
+    best: tuple[int, Vector] | None = None
 
     def visit(cost: int, vec: Vector) -> int:
         nonlocal best
@@ -234,7 +203,7 @@ def cvp(
             best = (cost, vec)
         return best[0]
 
-    _enumerate(group, ts, D, cap_scaled if best is None else best[0], visit)
+    _enumerate(group, ts, D, cap_scaled, visit)
     if best is None:
         raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
     return best[1], Fraction(best[0], DD)
@@ -298,14 +267,13 @@ def sampled_covering_check(
     seed: int,
     *,
     cvp_cap: Fraction | None = None,
-    max_dim: int = CVP_MAX_DIM,
 ) -> SampledCoveringReport:
     """Seeded random covering check: every sampled point must be within
     mu(A_{N-1}) + sqrt(2) of the lattice, and the deep hole (trial 0) must
     achieve squared distance exactly mu(A_{N-1})^2."""
     N = group.order
-    if N > max_dim:
-        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {max_dim}")
+    if N > CVP_MAX_DIM:
+        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
     bounds = covering_bounds(N, cyclic=group.is_cyclic)
     mu_sq = bounds.mu_A_sq
     if cvp_cap is None:
@@ -313,7 +281,7 @@ def sampled_covering_check(
         a, b = mu_sq.numerator, mu_sq.denominator
         cvp_cap = mu_sq + 2 + Fraction(isqrt(8 * a * b) + 1, b)
     targets = [deep_hole_An(N)] + sample_targets(N, trials, seed)
-    dists = [cvp(group, tgt, cvp_cap, max_dim=max_dim)[1] for tgt in targets]
+    dists = [cvp(group, tgt, cvp_cap)[1] for tgt in targets]
     max_sq = max(dists)
     return SampledCoveringReport(
         group=group.spec(),

@@ -118,6 +118,17 @@ def test_oracle(capsys):
     assert payload["oracle_count"] == payload["pair_sum_count"] == 10
 
 
+@pytest.mark.parametrize("bound,oracle_count,pair_sum_count", [(0, 0, 0), (3, 0, 0), (6, 30, 10)])
+def test_oracle_explicit_bound(capsys, bound, oracle_count, pair_sum_count):
+    # an explicit bound of 0 is a bound, not the default minimum
+    code, out = run(capsys, "oracle", "--group", "1x5", "--oracle-bound", str(bound), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["norm_sq_bound"] == bound
+    assert (payload["oracle_count"], payload["pair_sum_count"]) == (oracle_count, pair_sum_count)
+    assert payload["agree"] is None
+
+
 def test_curve_pipeline(capsys):
     code, out = run(capsys, "curve", "--curve", "5,1,1", "--json")
     assert code == 0
@@ -149,6 +160,36 @@ def test_covering_rejects_bad_values(capsys, flag, value):
     assert code == 2
     assert captured.out == ""
     assert "error" in captured.err and flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--group", "1x5", "--oracle-bound", "-3"),
+        ("covering", "--group", "1x5", "--trials", "-3"),
+        ("curve", "--curve", "13,2,2", "--max-basis-n", "-3"),
+    ],
+)
+def test_negative_integer_flags_are_usage_errors(capsys, argv):
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert argv[-2] in captured.err and "non-negative integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(cmd, "--group", "1x1") for cmd in ("basis", "minvec", "verify", "covering", "oracle")]
+    + [("oracle", "--group", "1x13")],
+)
+def test_size_refusals_are_usage_errors(capsys, argv):
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_curve_prime_bound(capsys, monkeypatch):
