@@ -179,15 +179,19 @@ def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> 
     """Exact closest lattice vector to the target within the given squared radius.
 
     The shared lattice enumeration around the target, with the radius
-    shrinking from the cap to the best cost found so far. Ties are broken
-    toward the lexicographically smallest coordinate vector. Raises
-    NoPointInRadius if the cap is too small.
+    shrinking to the best cost found so far. It starts from the cap or from
+    the cost of the zero vector, whichever is smaller, so the search does not
+    grow with a generous cap. Ties are broken toward the lexicographically
+    smallest coordinate vector. Entries other than int and Fraction are
+    converted exactly with Fraction(). Raises NoPointInRadius if the cap is
+    too small.
     """
     N = group.order
     if N > CVP_MAX_DIM:
         raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
     if len(target) != N:
         raise LengthMismatch(f"expected length {N}, got {len(target)}")
+    target = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
     D = lcm(*(x.denominator for x in target), 1)
     ts = [x.numerator * (D // x.denominator) for x in target]
     if sum(ts) != 0:
@@ -203,7 +207,8 @@ def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> 
             best = (cost, vec)
         return best[0]
 
-    _enumerate(group, ts, D, cap_scaled, visit)
+    # the zero vector lies in the lattice, so its cost bounds the minimum
+    _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit)
     if best is None:
         raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
     return best[1], Fraction(best[0], DD)

@@ -162,11 +162,16 @@ def test_covering_rejects_bad_values(capsys, flag, value):
     assert "error" in captured.err and flag in captured.err
 
 
+def test_covering_generous_cap_matches_default(capsys):
+    # the search starts no wider than the zero vector's distance, whatever the cap
+    argv = ("covering", "--group", "1x10", "--trials", "2", "--json")
+    assert run(capsys, *argv) == run(capsys, *argv, "--cvp-cap", "1e12")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("oracle", "--group", "1x5", "--oracle-bound", "-3"),
-        ("covering", "--group", "1x5", "--trials", "-3"),
         ("curve", "--curve", "13,2,2", "--max-basis-n", "-3"),
     ],
 )

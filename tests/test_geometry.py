@@ -131,6 +131,14 @@ def test_cvp_deep_hole_identity():
         assert dist_sq == covering_radius_An_sq(N)
 
 
+def test_cvp_float_target_and_generous_cap():
+    g = AbelianGroup(2, 2)
+    hole = deep_hole_An(4)
+    expected = cvp(g, hole, Fraction(9))
+    assert cvp(g, tuple(float(x) for x in hole), Fraction(9)) == expected
+    assert cvp(g, hole, Fraction(10**300)) == expected
+
+
 def test_cvp_matches_brute_force():
     for shape in [(1, 5), (2, 2), (1, 6)]:
         g = AbelianGroup(*shape)
