@@ -4,7 +4,9 @@ Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
 plain text); progress for long sweeps goes to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
-command refuses (a group of order 1, an oracle dimension above the cap).
+command refuses (a group of order 1, an oracle dimension above the cap,
+minvec above MINVEC_MAX_N, density --to above DENSITY_MAX_N, covering
+--trials above COVERING_MAX_TRIALS).
 """
 
 from __future__ import annotations
@@ -22,10 +24,22 @@ from . import basis as basis_mod
 from . import curves, geometry
 from .errors import BadSize, CurveTooLarge, EclatError, OracleBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
-from .lattice import SVP_ORACLE_MAX_DIM, Lattice, span_rank
+from .lattice import SVP_ORACLE_MAX_DIM, Lattice, minimal_quadruples, span_rank, support
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
+# minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
+MINVEC_MAX_N = 128
+# density takes about 0.7 s for --to 100000
+DENSITY_MAX_N = 100_000
+# a trial at N = 10 takes about 0.1 ms, so the largest run takes about 10 s
+COVERING_MAX_TRIALS = 100_000
+
+# vector rows: (before a row, between entries, after a row, between rows)
+_JSON_ROWS = ("[", ", ", "]", ", ")
+_PLAIN_ROWS = ("", ",", "\n", "")
+_CSV_ROWS = ("", ",", "\r\n", "")  # the line ends csv.writer writes
+_BATCH_ROWS = 1024
 
 
 def _encode(value):
@@ -41,6 +55,47 @@ def _emit(args, payload) -> None:
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
+
+
+def _write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
+    """Write head, one row of N entries per support, then tail, to stdout.
+
+    Each row fills the support's entries into a reused list of "0" strings;
+    rows are joined and written in batches, so no whole report is held.
+    """
+    pre, sep, post, between = row_format
+    write = sys.stdout.write
+    write(head)
+    cells = ["0"] * N
+    batch: list[str] = []
+    lead = ""
+    for v in supports:
+        for i, c in v.items():
+            cells[i] = str(c)
+        batch.append(pre + sep.join(cells) + post)
+        for i in v:
+            cells[i] = "0"
+        if len(batch) == _BATCH_ROWS:
+            write(lead + between.join(batch))
+            batch.clear()
+            lead = between
+    if batch:
+        write(lead + between.join(batch))
+    write(tail)
+
+
+def _emit_vectors(args, fields: dict, title: str, supports, N: int) -> None:
+    """Print fields and vectors: under --json one object with sorted keys,
+    "vectors" last; under --csv the rows alone; else the title line, then
+    one comma-separated row per vector."""
+    if args.json:
+        # json.dumps(payload, sort_keys=True) with the vector list streamed in
+        head = json.dumps(fields, sort_keys=True)[:-1] + ', "vectors": ['
+        _write_rows(head, supports, N, _JSON_ROWS, "]}\n")
+    elif args.csv:
+        _write_rows("", supports, N, _CSV_ROWS, "")
+    else:
+        _write_rows(title + "\n", supports, N, _PLAIN_ROWS, "")
 
 
 def _group_arg(spec: str) -> AbelianGroup:
@@ -71,21 +126,24 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(low: int, kind: str):
+def _int_in(low: int, high: int | None, kind: str):
+    """An argparse type for integers from low to high (no upper end when
+    high is None); kind names the accepted values in the message."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_in(1, None, "a positive integer")
+_nonnegative_int = _int_in(0, None, "a non-negative integer")
 
 
 def _max_p(args) -> int:
@@ -118,24 +176,16 @@ def cmd_group(args) -> int:
 def cmd_basis(args) -> int:
     g = args.group
     result = basis_mod.build_minimal_basis(g)
-    vectors = result.vectors
-    payload = {
+    fields = {
         "group": g.spec(),
         "kind": result.kind,
         "certified": result.certified,
         "gram_det_sq": result.report.gram_det_sq,
-        "vectors": vectors,
     }
     if result.kind == "exceptional_cyclic_4":
-        payload["span_rank"] = span_rank(Lattice(g).minimal_vectors())
-    if args.json:
-        _emit(args, payload)
-    elif args.csv:
-        csv.writer(sys.stdout).writerows(vectors)
-    else:
-        print(f"group {g.spec()}: kind {result.kind}, certified {result.certified}")
-        for v in vectors:
-            print(",".join(str(c) for c in v))
+        fields["span_rank"] = span_rank(Lattice(g).minimal_vectors())
+    title = f"group {g.spec()}: kind {result.kind}, certified {result.certified}"
+    _emit_vectors(args, fields, title, result.supports, g.order)
     if not result.accepted:
         print(f"certification failed for {g.spec()}", file=sys.stderr)
         return 1
@@ -144,21 +194,24 @@ def cmd_basis(args) -> int:
 
 def cmd_minvec(args) -> int:
     g = args.group
+    N = g.order
+    if N > MINVEC_MAX_N:
+        raise BadSize(
+            f"--group {g.spec()}: minvec refuses N = {N} above {MINVEC_MAX_N}; its report takes about 0.7 N^4 bytes"
+        )
     lat = Lattice(g)
-    vectors = lat.minimal_vectors()
-    payload = {
-        "group": g.spec(),
-        "N": g.order,
-        "min_dist_sq": lat.minimal_distance_sq(),
-        "count": len(vectors),
-        "vectors": vectors,
-    }
-    if args.json:
-        _emit(args, payload)
+    min_dist_sq = lat.minimal_distance_sq()
+    if N >= 4:
+        quads = minimal_quadruples(g)
+        count = len(quads)
+        supports = ({i: 1, j: 1, k: -1, l: -1} for (i, j), (k, l) in quads)
     else:
-        print(f"group {g.spec()}: {len(vectors)} minimal vectors, norm^2 {payload['min_dist_sq']}")
-        for v in vectors:
-            print(",".join(str(c) for c in v))
+        vectors = lat.minimal_vectors()
+        count = len(vectors)
+        supports = map(support, vectors)
+    fields = {"group": g.spec(), "N": N, "min_dist_sq": min_dist_sq, "count": count}
+    title = f"group {g.spec()}: {count} minimal vectors, norm^2 {min_dist_sq}"
+    _emit_vectors(args, fields, title, supports, N)
     return 0
 
 
@@ -322,13 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="packing density vs the Minkowski-Hlawka bound")
     p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--to", dest="stop", type=int, required=True)
+    p.add_argument(
+        "--to", dest="stop", type=_int_in(4, DENSITY_MAX_N, f"an integer from 4 to {DENSITY_MAX_N}"), required=True
+    )
     add_format(p, csv_ok=True)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("covering", help="covering-radius bounds and seeded random check")
     p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    p.add_argument("--trials", type=_nonnegative_int, default=DEFAULT_TRIALS)
+    p.add_argument(
+        "--trials",
+        type=_int_in(0, COVERING_MAX_TRIALS, f"an integer from 0 to {COVERING_MAX_TRIALS}"),
+        default=DEFAULT_TRIALS,
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cvp-cap", type=_positive_fraction, default=None, help="squared-radius search cap override")
     add_format(p)

@@ -21,6 +21,8 @@ from .groups import AbelianGroup, GroupElement
 Vector = tuple[int, ...]
 # a vector held by its nonzero entries, {coordinate: entry}
 Support = dict[int, int]
+# a minimal vector e_i + e_j - e_k - e_l held as ((i, j), (k, l))
+Quadruple = tuple[tuple[int, int], tuple[int, int]]
 
 SVP_ORACLE_MAX_DIM = 12
 
@@ -68,11 +70,9 @@ class Lattice:
         return closed
 
     def minimal_vectors(self) -> list[Vector]:
-        """All minimal vectors, sorted lexicographically.
+        """All minimal vectors as dense tuples, sorted lexicographically.
 
-        For N >= 4 these are e_P + e_Q - e_R - e_S over unordered pairs
-        {P, Q} != {R, S} of distinct elements with P + Q = R + S (distinct
-        pairs with equal sum are automatically disjoint); for N = 2 and 3
+        For N >= 4 these are the minimal_quadruples expanded; for N = 2 and 3
         the short explicit lists.
         """
         g = self.group
@@ -85,18 +85,7 @@ class Lattice:
             base = [(-2, 1, 1), (1, -2, 1), (1, 1, -2)]
             out3 = base + [tuple(-c for c in v) for v in base]
             return sorted(out3)
-        out: list[Vector] = []
-        for pairs in _pair_classes(g):
-            for pos in pairs:
-                for neg in pairs:
-                    if pos == neg:
-                        continue
-                    v = [0] * N
-                    v[pos[0]] = v[pos[1]] = 1
-                    v[neg[0]] = v[neg[1]] = -1
-                    out.append(tuple(v))
-        out.sort()
-        return out
+        return [dense({i: 1, j: 1, k: -1, l: -1}, N) for (i, j), (k, l) in minimal_quadruples(g)]
 
     def count_minimal_vectors(self) -> int:
         """Number of minimal vectors, in closed form for N >= 4.
@@ -148,15 +137,29 @@ class Lattice:
         return N**3
 
 
-def _pair_classes(group: AbelianGroup) -> list[list[tuple[int, int]]]:
-    """Coordinate pairs i < j grouped by the sum of their two elements."""
+def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
+    """The minimal vectors for N >= 4, each as ((i, j), (k, l)): the vector
+    e_i + e_j - e_k - e_l, with i < j and k < l.
+
+    They run over ordered pairs of distinct pairs {P, Q} != {R, S} of distinct
+    elements with P + Q = R + S (distinct pairs with equal sum are disjoint).
+    The list is in the lexicographic order of the dense tuples. The key
+    sum(v_x * 3^(N-1-x)) keeps that order: where two vectors first differ,
+    their entries differ by 1 or 2, and the later coordinates, whose
+    differences lie in [-2, 2], add less than 3^(N-1-x) in absolute value.
+    """
     N = group.order
+    if N < 4:
+        raise BadSize(f"minimal vectors are pair-sum quadruples only for N >= 4, got N = {N}")
     elems = group.elements()
     by_sum: dict[GroupElement, list[tuple[int, int]]] = {}
     for i in range(N):
         for j in range(i + 1, N):
             by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
-    return list(by_sum.values())
+    quads = [(pos, neg) for pairs in by_sum.values() for pos in pairs for neg in pairs if pos != neg]
+    weight = [3 ** (N - 1 - x) for x in range(N)]
+    quads.sort(key=lambda q: weight[q[0][0]] + weight[q[0][1]] - weight[q[1][0]] - weight[q[1][1]])
+    return quads
 
 
 def _enumerate(

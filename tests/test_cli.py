@@ -1,10 +1,17 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from eclat.cli import main
+from eclat.basis import build_minimal_basis
+from eclat.cli import COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, main
+from eclat.groups import canonical_groups_of_order
+from eclat.lattice import Lattice
+
+SMALL_GROUPS = [g for N in range(2, 25) for g in canonical_groups_of_order(N)]
 
 
 def run(capsys, *argv):
@@ -75,6 +82,39 @@ def test_minvec(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert payload["min_dist_sq"] == 4
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.spec())
+def test_minvec_output_is_the_dense_rendering(capsys, g):
+    lat = Lattice(g)
+    vectors = lat.minimal_vectors()
+    d = lat.minimal_distance_sq()
+    payload = {"group": g.spec(), "N": g.order, "min_dist_sq": d, "count": len(vectors), "vectors": vectors}
+    assert run(capsys, "minvec", "--group", g.spec(), "--json") == (0, json.dumps(payload, sort_keys=True) + "\n")
+    lines = [f"group {g.spec()}: {len(vectors)} minimal vectors, norm^2 {d}"]
+    lines += [",".join(str(c) for c in v) for v in vectors]
+    assert run(capsys, "minvec", "--group", g.spec()) == (0, "".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.spec())
+def test_basis_output_is_the_dense_rendering(capsys, g):
+    result = build_minimal_basis(g)
+    payload = {
+        "group": g.spec(),
+        "kind": result.kind,
+        "certified": result.certified,
+        "gram_det_sq": result.report.gram_det_sq,
+        "vectors": result.vectors,
+    }
+    if result.kind == "exceptional_cyclic_4":
+        payload["span_rank"] = 2
+    assert run(capsys, "basis", "--group", g.spec(), "--json") == (0, json.dumps(payload, sort_keys=True) + "\n")
+    rows = io.StringIO()
+    csv.writer(rows).writerows(result.vectors)
+    assert run(capsys, "basis", "--group", g.spec(), "--csv") == (0, rows.getvalue())
+    lines = [f"group {g.spec()}: kind {result.kind}, certified {result.certified}"]
+    lines += [",".join(str(c) for c in v) for v in result.vectors]
+    assert run(capsys, "basis", "--group", g.spec()) == (0, "".join(line + "\n" for line in lines))
 
 
 def test_verify(capsys):
@@ -195,6 +235,33 @@ def test_size_refusals_are_usage_errors(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("minvec", "--group", f"1x{MINVEC_MAX_N + 1}"), "--group"),
+        (("minvec", "--group", f"2x{MINVEC_MAX_N}"), "--group"),
+        (("density", "--from", "4", "--to", str(DENSITY_MAX_N + 1)), "--to"),
+        (("density", "--from", "4", "--to", "10**9"), "--to"),
+        (("covering", "--group", "1x5", "--trials", str(COVERING_MAX_TRIALS + 1)), "--trials"),
+    ],
+)
+def test_size_caps_are_usage_errors(capsys, argv, flag):
+    for fmt in ((), ("--json",)):
+        code = main([*argv, *fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("error") == 1 and flag in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_size_caps_admit_their_limit(capsys):
+    assert run(capsys, "density", "--from", str(DENSITY_MAX_N), "--to", str(DENSITY_MAX_N), "--json")[0] == 0
+    # above the exact-search bound the trials are parsed and then skipped
+    code, out = run(capsys, "covering", "--group", "1x20", "--trials", str(COVERING_MAX_TRIALS), "--json")
+    assert code == 0 and "sampled" not in json.loads(out)
 
 
 def test_curve_prime_bound(capsys, monkeypatch):

@@ -4,13 +4,15 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eclat.errors import LengthMismatch, NotInAn, OracleBoundExceeded
+from eclat.errors import BadSize, LengthMismatch, NotInAn, OracleBoundExceeded
 from eclat.groups import AbelianGroup, canonical_groups_of_order
 from eclat.lattice import (
     Lattice,
+    dense,
     divisor_degree,
     gram_report,
     index_from_generators,
+    minimal_quadruples,
     span_rank,
 )
 
@@ -82,6 +84,44 @@ def test_minimal_vectors_invariants(n):
             assert lat.contains(v)
             assert norm_sq(v) == d
             assert tuple(-c for c in v) in set(vectors)
+
+
+def pair_sum_vectors(group):
+    """The minimal vectors for N >= 4 from the pair-sum loop over dense
+    tuples, unsorted: the reference for minimal_quadruples."""
+    N = group.order
+    elems = group.elements()
+    by_sum = {}
+    for i in range(N):
+        for j in range(i + 1, N):
+            by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
+    out = []
+    for pairs in by_sum.values():
+        for pos in pairs:
+            for neg in pairs:
+                if pos == neg:
+                    continue
+                v = [0] * N
+                v[pos[0]] = v[pos[1]] = 1
+                v[neg[0]] = v[neg[1]] = -1
+                out.append(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 49))
+def test_minimal_quadruples_in_dense_order(n):
+    for g in canonical_groups_of_order(n):
+        quads = minimal_quadruples(g)
+        assert all(i < j and k < l for (i, j), (k, l) in quads)
+        expanded = [dense({i: 1, j: 1, k: -1, l: -1}, n) for (i, j), (k, l) in quads]
+        assert expanded == sorted(pair_sum_vectors(g)), g.spec()
+        assert Lattice(g).minimal_vectors() == expanded
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minimal_quadruples_need_order_four(n):
+    with pytest.raises(BadSize):
+        minimal_quadruples(AbelianGroup(1, n))
 
 
 def test_gram_report_examples():
