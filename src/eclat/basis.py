@@ -223,8 +223,7 @@ def build_minimal_basis(group: AbelianGroup) -> BasisResult:
     verify_basis does not certify (its third vector is not minimal).
     """
     m, n = group.m, group.n
-    if group.order < 2:
-        raise BadSize("the lattice needs a group of order at least 2")
+    Lattice(group)  # refuses a group of order 1
     if not group.is_canonical:
         raise BadShape(f"dispatch needs a canonical shape with m | n, got ({m}, {n})")
     if (m, n) == (1, 4):

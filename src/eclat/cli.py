@@ -160,16 +160,17 @@ def _max_p(args) -> int:
 
 def cmd_group(args) -> int:
     g = args.group
-    lat = Lattice(g)
-    payload = {
-        "group": g.spec(),
-        "N": g.order,
-        "min_dist_sq": lat.minimal_distance_sq() if g.order >= 2 else None,
-        "num_min_vecs": lat.count_minimal_vectors() if g.order >= 2 else 0,
-        "det_sq": lat.determinant_sq() if g.order >= 2 else None,
-        "index": g.order if g.order >= 2 else None,
-    }
-    _emit(args, payload)
+    if g.order < 2:  # a group of order 1 has no lattice
+        summary = {"min_dist_sq": None, "num_min_vecs": 0, "det_sq": None, "index": None}
+    else:
+        lat = Lattice(g)
+        summary = {
+            "min_dist_sq": lat.minimal_distance_sq(),
+            "num_min_vecs": lat.count_minimal_vectors(),
+            "det_sq": lat.determinant_sq(),
+            "index": g.order,
+        }
+    _emit(args, {"group": g.spec(), "N": g.order, **summary})
     return 0
 
 
@@ -218,18 +219,7 @@ def cmd_minvec(args) -> int:
 def cmd_verify(args) -> int:
     g = args.group
     result = basis_mod.build_minimal_basis(g)
-    report = result.report
-    payload = {
-        "group": g.spec(),
-        "kind": result.kind,
-        "all_in_lattice": report.all_in_lattice,
-        "all_minimal": report.all_minimal,
-        "count_ok": report.count_ok,
-        "gram_det_sq_ok": report.gram_det_sq_ok,
-        "gram_det_sq": report.gram_det_sq,
-        "certified": report.certified,
-    }
-    _emit(args, payload)
+    _emit(args, {"group": g.spec(), "kind": result.kind, **asdict(result.report), "certified": result.certified})
     return 0 if result.accepted else 1
 
 
@@ -254,34 +244,16 @@ def cmd_density(args) -> int:
 
 def cmd_covering(args) -> int:
     g = args.group
-    bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
-    payload = {
-        "group": g.spec(),
-        "N": bounds.N,
-        "mu_A_sq": bounds.mu_A_sq,
-        "lower": bounds.lower,
-        "upper_new": bounds.upper_new,
-        "upper_old": bounds.upper_old,
-        "upper_boettcher": bounds.upper_boettcher,
-    }
+    payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g.order, cyclic=g.is_cyclic))}
+    sampled = None
     if args.trials > 0 and g.order > geometry.CVP_MAX_DIM:
         print(f"N = {g.order} exceeds the exact-search bound; reporting bounds only", file=sys.stderr)
     elif args.trials > 0:
         print(f"sampling {args.trials} targets for {g.spec()}", file=sys.stderr)
         sampled = geometry.sampled_covering_check(g, args.trials, args.seed, cvp_cap=args.cvp_cap)
-        payload["sampled"] = {
-            "trials": sampled.trials,
-            "seed": sampled.seed,
-            "deep_hole_distance_sq": sampled.deep_hole_distance_sq,
-            "max_distance_sq": sampled.max_distance_sq,
-            "all_within_upper": sampled.all_within_upper,
-            "max_reaches_lower": sampled.max_reaches_lower,
-        }
+        payload["sampled"] = asdict(sampled)
     _emit(args, payload)
-    sampled_ok = "sampled" not in payload or (
-        payload["sampled"]["all_within_upper"] and payload["sampled"]["max_reaches_lower"]
-    )
-    return 0 if sampled_ok else 1
+    return 0 if sampled is None or (sampled.all_within_upper and sampled.max_reaches_lower) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -306,7 +278,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_curve(args) -> int:
     curve = args.curve
-    cg = curves.group_structure(curve.points(_max_p(args)), curve)
+    cg = curves.curve_group(curve, _max_p(args))
     g = cg.structure
     bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
     n1, n2 = g.m, g.n
@@ -353,25 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.set_defaults(csv=False)
 
-    p = sub.add_parser("group", help="canonical form and lattice summary")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    add_format(p)
-    p.set_defaults(func=cmd_group)
+    def group_command(name, text, func):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("basis", help="build and certify the minimal-vector basis")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    add_format(p, csv_ok=True)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("minvec", help="enumerate the minimal vectors")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    add_format(p)
-    p.set_defaults(func=cmd_minvec)
-
-    p = sub.add_parser("verify", help="certification report for the built basis")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    for name, text, func, csv_ok in (
+        ("group", "canonical form and lattice summary", cmd_group, False),
+        ("basis", "build and certify the minimal-vector basis", cmd_basis, True),
+        ("minvec", "enumerate the minimal vectors", cmd_minvec, False),
+        ("verify", "certification report for the built basis", cmd_verify, False),
+    ):
+        add_format(group_command(name, text, func), csv_ok)
 
     p = sub.add_parser("density", help="packing density vs the Minkowski-Hlawka bound")
     p.add_argument("--from", dest="start", type=int, required=True)
@@ -381,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, csv_ok=True)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("covering", help="covering-radius bounds and seeded random check")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
+    p = group_command("covering", "covering-radius bounds and seeded random check", cmd_covering)
     p.add_argument(
         "--trials",
         type=_int_in(0, COVERING_MAX_TRIALS, f"an integer from 0 to {COVERING_MAX_TRIALS}"),
@@ -391,14 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cvp-cap", type=_positive_fraction, default=None, help="squared-radius search cap override")
     add_format(p)
-    p.set_defaults(func=cmd_covering)
 
-    p = sub.add_parser("oracle", help="exhaustive short-vector search cross-check")
-    p.add_argument("--group", type=_group_arg, required=True, metavar="MxN")
+    p = group_command("oracle", "exhaustive short-vector search cross-check", cmd_oracle)
     p.add_argument("--oracle-bound", type=_nonnegative_int, default=None, help="squared-norm bound (default: minimal)")
     p.add_argument("--force", action="store_true", help="lift the dimension cap")
     add_format(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("curve", help="curve -> group -> lattice pipeline")
     p.add_argument("--curve", type=_curve_arg, required=True, metavar="p,a,b")

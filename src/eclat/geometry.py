@@ -59,15 +59,12 @@ class SampledCoveringReport:
     """Result of the seeded random covering check for one group.
 
     Trial 0 is always the deep hole of A_{N-1}; the remaining trials are
-    SplitMix64-driven rational targets in the zero-sum hyperplane.
+    SplitMix64-driven rational targets in the zero-sum hyperplane. N and the
+    bounds themselves are in the group's CoveringReport.
     """
 
-    group: str
-    N: int
     trials: int
     seed: int
-    lower: float
-    upper: float
     deep_hole_distance_sq: Fraction
     max_distance_sq: Fraction
     all_within_upper: bool
@@ -279,8 +276,7 @@ def sampled_covering_check(
     N = group.order
     if N > CVP_MAX_DIM:
         raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
-    bounds = covering_bounds(N, cyclic=group.is_cyclic)
-    mu_sq = bounds.mu_A_sq
+    mu_sq = covering_radius_An_sq(N)
     if cvp_cap is None:
         # (mu + sqrt 2)^2 = mu^2 + 2 + sqrt(8ab)/b for mu^2 = a/b, rounded up
         a, b = mu_sq.numerator, mu_sq.denominator
@@ -289,12 +285,8 @@ def sampled_covering_check(
     dists = [cvp(group, tgt, cvp_cap)[1] for tgt in targets]
     max_sq = max(dists)
     return SampledCoveringReport(
-        group=group.spec(),
-        N=N,
         trials=trials,
         seed=seed,
-        lower=bounds.lower,
-        upper=bounds.upper_new,
         deep_hole_distance_sq=dists[0],
         max_distance_sq=max_sq,
         all_within_upper=within_upper_bound(max_sq, mu_sq),  # every distance is within the bound when the largest is

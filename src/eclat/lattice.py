@@ -39,6 +39,10 @@ class GramReport:
 class Lattice:
     group: AbelianGroup
 
+    def __post_init__(self) -> None:
+        if self.group.order < 2:
+            raise BadSize("the lattice needs a group of order at least 2")
+
     @property
     def dim(self) -> int:
         """Ambient dimension N = |P|; the lattice itself has rank N - 1."""
@@ -62,8 +66,6 @@ class Lattice:
         group shape against the exhaustive short-vector search.
         """
         N = self.dim
-        if N < 2:
-            raise BadSize("the lattice needs a group of order at least 2")
         closed = 8 if N == 2 else 6 if N == 3 else 4
         if N <= SVP_ORACLE_MAX_DIM:
             _check_oracle_minimum(self.group.m, self.group.n, closed)
@@ -77,8 +79,6 @@ class Lattice:
         """
         g = self.group
         N = g.order
-        if N < 2:
-            raise BadSize("the lattice needs a group of order at least 2")
         if N == 2:
             return [(-2, 2), (2, -2)]
         if N == 3:
@@ -96,8 +96,6 @@ class Lattice:
         """
         g = self.group
         N = g.order
-        if N < 2:
-            raise BadSize("the lattice needs a group of order at least 2")
         if N == 2:
             return 2
         if N == 3:
@@ -116,8 +114,6 @@ class Lattice:
         N = g.order
         if N > max_dim:
             raise OracleBoundExceeded(f"N = {N} exceeds the oracle bound {max_dim}")
-        if N < 2:
-            raise BadSize("the lattice needs a group of order at least 2")
         bound = int(norm_sq_bound)
         out: list[Vector] = []
 
@@ -131,10 +127,7 @@ class Lattice:
 
     def determinant_sq(self) -> int:
         """Exact squared determinant N^3 (the determinant itself is N^{3/2})."""
-        N = self.dim
-        if N < 2:
-            raise BadSize("the lattice needs a group of order at least 2")
-        return N**3
+        return self.dim**3
 
 
 def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
