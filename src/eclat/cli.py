@@ -4,9 +4,11 @@ Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
 plain text); progress for long sweeps goes to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
-command refuses (a group of order 1, an oracle dimension above the cap,
-minvec above MINVEC_MAX_N, density --to above DENSITY_MAX_N, covering
---trials above COVERING_MAX_TRIALS).
+command refuses (a group of order 1, an oracle dimension above the cap or
+an oracle search past lattice.SVP_ORACLE_MAX_NODES nodes, basis and verify
+above BASIS_MAX_N, minvec above MINVEC_MAX_N, density --to above
+DENSITY_MAX_N, covering --trials above COVERING_MAX_TRIALS, and a curve
+prime above --max-p, which is checked before the prime is tested).
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .lattice import SVP_ORACLE_MAX_DIM, Lattice, minimal_quadruples, span_rank,
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
+# basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4), and
+# verify takes about 0.3 s at N = 10^4; the cap admits 10173, the Hasse maximum for p <= 10^4
+BASIS_MAX_N = 10_200
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
 # density takes about 0.7 s for --to 100000
@@ -103,16 +108,10 @@ def _group_arg(spec: str) -> AbelianGroup:
     return make_group(m, n)
 
 
-def _curve_arg(spec: str) -> curves.Curve:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"invalid curve spec {spec!r}; expected p,a,b")
-    p, a, b = (int(x) for x in parts)
-    try:
-        return curves.Curve(p, a, b)
-    except SingularCurve as exc:
-        # singular input is a usage error for the CLI
-        raise ValueError(str(exc)) from exc
+def _curve_arg(spec: str) -> tuple[int, int, int]:
+    # only parsed here: cmd_curve checks p against --max-p before Curve's primality test
+    p, a, b = (int(x) for x in spec.split(","))
+    return p, a, b
 
 
 def _positive_fraction(text: str) -> Fraction:
@@ -158,6 +157,11 @@ def _max_p(args) -> int:
         raise ValueError(f"EC_LATTICE_MAX_P: {exc}") from None
 
 
+def _refuse_above(g: AbelianGroup, cap: int, command: str, why: str) -> None:
+    if g.order > cap:
+        raise BadSize(f"--group {g.spec()}: {command} refuses N = {g.order} above {cap}; {why}")
+
+
 def cmd_group(args) -> int:
     g = args.group
     if g.order < 2:  # a group of order 1 has no lattice
@@ -176,6 +180,7 @@ def cmd_group(args) -> int:
 
 def cmd_basis(args) -> int:
     g = args.group
+    _refuse_above(g, BASIS_MAX_N, "basis", "its report takes about 3 N^2 bytes")
     result = basis_mod.build_minimal_basis(g)
     fields = {
         "group": g.spec(),
@@ -196,10 +201,7 @@ def cmd_basis(args) -> int:
 def cmd_minvec(args) -> int:
     g = args.group
     N = g.order
-    if N > MINVEC_MAX_N:
-        raise BadSize(
-            f"--group {g.spec()}: minvec refuses N = {N} above {MINVEC_MAX_N}; its report takes about 0.7 N^4 bytes"
-        )
+    _refuse_above(g, MINVEC_MAX_N, "minvec", "its report takes about 0.7 N^4 bytes")
     lat = Lattice(g)
     min_dist_sq = lat.minimal_distance_sq()
     if N >= 4:
@@ -218,6 +220,7 @@ def cmd_minvec(args) -> int:
 
 def cmd_verify(args) -> int:
     g = args.group
+    _refuse_above(g, BASIS_MAX_N, "verify", "certification takes time and memory linear in N")
     result = basis_mod.build_minimal_basis(g)
     _emit(args, {"group": g.spec(), "kind": result.kind, **asdict(result.report), "certified": result.certified})
     return 0 if result.accepted else 1
@@ -277,8 +280,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    curve = args.curve
-    cg = curves.curve_group(curve, _max_p(args))
+    p, a, b = args.curve
+    max_p = _max_p(args)
+    curves.check_prime_bound(p, max_p)
+    curve = curves.Curve(p, a, b)
+    cg = curves.curve_group(curve, max_p)
     g = cg.structure
     bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
     n1, n2 = g.m, g.n

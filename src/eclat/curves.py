@@ -102,8 +102,7 @@ class Curve:
         against the Hasse bound |N - p - 1| <= 2*sqrt(p).
         """
         p = self.p
-        if p > max_p:
-            raise CurveTooLarge(f"p = {p} exceeds the enumeration bound {max_p}")
+        check_prime_bound(p, max_p)
         roots: dict[int, list[int]] = {}
         for y in range(p):
             roots.setdefault(y * y % p, []).append(y)
@@ -116,6 +115,12 @@ class Curve:
         if (count - p - 1) ** 2 > 4 * p:
             raise InternalInconsistency(f"point count {count} violates the Hasse bound for p = {p}")
         return pts
+
+
+def check_prime_bound(p: int, max_p: int) -> None:
+    """Raise CurveTooLarge when p exceeds the point-enumeration bound max_p."""
+    if p > max_p:
+        raise CurveTooLarge(f"p = {p} exceeds the enumeration bound {max_p}")
 
 
 @dataclass(frozen=True, eq=False)

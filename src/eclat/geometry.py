@@ -204,8 +204,9 @@ def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> 
             best = (cost, vec)
         return best[0]
 
-    # the zero vector lies in the lattice, so its cost bounds the minimum
-    _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit)
+    # the zero vector lies in the lattice, so its cost bounds the minimum; N <= CVP_MAX_DIM
+    # bounds the work, so the search takes no node budget (-1)
+    _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit, -1)
     if best is None:
         raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
     return best[1], Fraction(best[0], DD)

@@ -25,6 +25,9 @@ Support = dict[int, int]
 Quadruple = tuple[tuple[int, int], tuple[int, int]]
 
 SVP_ORACLE_MAX_DIM = 12
+# about 1 s of oracle search; refusing up front keeps N within isqrt of this, 707,
+# so the depth-first recursion, one frame per coordinate, stays under Python's limit
+SVP_ORACLE_MAX_NODES = 500_000
 
 
 @dataclass(frozen=True)
@@ -108,13 +111,17 @@ class Lattice:
         """Every nonzero lattice vector with squared norm <= the bound, sorted.
 
         The lattice enumeration around the origin; independent of the
-        pair-sum characterization used by minimal_vectors.
+        pair-sum characterization used by minimal_vectors. A search that
+        would enter more than SVP_ORACLE_MAX_NODES nodes raises
+        OracleBoundExceeded, before it starts when the count below shows it.
         """
         g = self.group
         N = g.order
         if N > max_dim:
             raise OracleBoundExceeded(f"N = {N} exceeds the oracle bound {max_dim}")
         bound = int(norm_sq_bound)
+        if bound < 2:  # a nonzero zero-sum integer vector has squared norm at least 2
+            return []
         out: list[Vector] = []
 
         def visit(cost: int, vec: Vector) -> int:
@@ -122,7 +129,16 @@ class Lattice:
                 out.append(vec)
             return bound
 
-        _enumerate(g, [0] * N, 1, bound, visit)
+        # the nodes include every prefix with at most one nonzero entry x, one of
+        # the 2t with x^2 + |x| <= bound: (N - 1)(1 + t(N - 2)) of them
+        t = (isqrt(4 * bound + 1) - 1) // 2
+        if (N - 1) * (1 + t * (N - 2)) > SVP_ORACLE_MAX_NODES or not _enumerate(
+            g, [0] * N, 1, bound, visit, SVP_ORACLE_MAX_NODES
+        ):
+            raise OracleBoundExceeded(
+                f"the search for squared norms <= {bound} at N = {N} passes {SVP_ORACLE_MAX_NODES} nodes;"
+                " lower --oracle-bound, or N under --force"
+            )
         return sorted(out)
 
     def determinant_sq(self) -> int:
@@ -156,14 +172,16 @@ def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
 
 
 def _enumerate(
-    group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int]
-) -> None:
+    group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int], nodes: int
+) -> bool:
     """Visit every lattice vector x with cost sum((D*x_i - ts_i)^2) <= limit.
 
     The target is ts / D. The search is depth first over the coordinates in
     index order; the zero-sum constraint fixes the last coordinate and
     membership is tested there. visit(cost, x) is called at each lattice
-    vector within the limit and returns the limit to continue with.
+    vector within the limit and returns the limit to continue with. The
+    search makes at most `nodes` depth-first calls (a negative value sets no
+    bound) and returns whether it finished within them.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
@@ -173,13 +191,13 @@ def _enumerate(
     rho_j = |D*n_j - ts_j| <= D/2.
     """
     if limit < 0:
-        return
+        return True
     N, m, n = group.order, group.m, group.n
     last = N - 1
     if last == 0:  # the zero vector is the only zero-sum vector
         if ts[0] ** 2 <= limit:
             visit(ts[0] ** 2, (0,))
-        return
+        return True
     r = isqrt(limit)
     cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
     base, near, slope = [0] * N, [0] * N, [0] * N
@@ -192,19 +210,24 @@ def _enumerate(
     t_last = ts[last]
     a_last, b_last = divmod(last, n)
     coords = [0] * N
+    # each coordinate's candidates, the bounds on the later ones, and its element (a, b)
+    rows = [(cands[i], base[i], near[i], slope[i], *divmod(i, n)) for i in range(last)]
 
     def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
-        nonlocal limit
-        bi, nr, sl = base[i], near[i], slope[i]
-        a, bw = divmod(i, n)
-        for c, x in cands[i]:
+        nonlocal limit, nodes
+        if not nodes:
+            limit = -1  # out of nodes: every loop breaks at its first candidate
+        nodes -= 1
+        cand, bi, nr, sl, a, bw = rows[i]
+        inner = i < last - 1
+        for c, x in cand:
             c += cost
             if c + bi > limit:
                 break
             if c + bi + sl * abs(total + x + nr) > limit:
                 continue
             coords[i] = x
-            if i < last - 1:
+            if inner:
                 dfs(i + 1, total + x, wa + x * a, wb + x * bw, c)
                 continue
             # the last coordinate is tested here, not in a call: most nodes are leaves
@@ -215,6 +238,7 @@ def _enumerate(
                 limit = visit(c, tuple(coords))
 
     dfs(0, 0, 0, 0, 0)
+    return limit >= 0
 
 
 @lru_cache(maxsize=None)
