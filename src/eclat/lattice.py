@@ -180,8 +180,8 @@ def _enumerate(
     index order; the zero-sum constraint fixes the last coordinate and
     membership is tested there. visit(cost, x) is called at each lattice
     vector within the limit and returns the limit to continue with. The
-    search makes at most `nodes` depth-first calls (a negative value sets no
-    bound) and returns whether it finished within them.
+    search stops once it has made `nodes` depth-first calls (a negative
+    value sets no bound); the return value says whether it finished.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
