@@ -9,9 +9,11 @@ A_{N-1} cut out by sum(i * x_i) = 0 mod N.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import BadSize, InternalInconsistency, LengthMismatch, NotInAn, OracleBoundExceeded
@@ -25,9 +27,10 @@ Support = dict[int, int]
 Quadruple = tuple[tuple[int, int], tuple[int, int]]
 
 SVP_ORACLE_MAX_DIM = 12
-# about 1 s of oracle search; refusing up front keeps N within isqrt of this, 707,
-# so the depth-first recursion, one frame per coordinate, stays under Python's limit
-SVP_ORACLE_MAX_NODES = 500_000
+# the nodes the oracle's search may try, leaves included: about 1 s. Refusing up
+# front keeps N at most 182, so the depth-first recursion, one frame per
+# coordinate, stays far under Python's limit
+SVP_ORACLE_MAX_NODES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class Lattice:
 
         The lattice enumeration around the origin; independent of the
         pair-sum characterization used by minimal_vectors. A search that
-        would enter more than SVP_ORACLE_MAX_NODES nodes raises
+        would try more than SVP_ORACLE_MAX_NODES nodes raises
         OracleBoundExceeded, before it starts when the count below shows it.
         """
         g = self.group
@@ -129,10 +132,12 @@ class Lattice:
                 out.append(vec)
             return bound
 
-        # the nodes include every prefix with at most one nonzero entry x, one of
-        # the 2t with x^2 + |x| <= bound: (N - 1)(1 + t(N - 2)) of them
-        t = (isqrt(4 * bound + 1) - 1) // 2
-        if (N - 1) * (1 + t * (N - 2)) > SVP_ORACLE_MAX_NODES or not _enumerate(
+        # the nodes tried include, at each of the N - 1 levels, all 2r + 1 values
+        # after the zero prefix, and the value 0 after each prefix with one nonzero
+        # entry x, x^2 + |x| <= bound, or with two, x then -x, 2x^2 <= bound
+        r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
+        least = (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
+        if least > SVP_ORACLE_MAX_NODES or not _enumerate(
             g, [0] * N, 1, bound, visit, SVP_ORACLE_MAX_NODES
         ):
             raise OracleBoundExceeded(
@@ -171,6 +176,9 @@ def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
     return quads
 
 
+_cost = itemgetter(0)
+
+
 def _enumerate(
     group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int], nodes: int
 ) -> bool:
@@ -180,8 +188,9 @@ def _enumerate(
     index order; the zero-sum constraint fixes the last coordinate and
     membership is tested there. visit(cost, x) is called at each lattice
     vector within the limit and returns the limit to continue with. The
-    search stops once it has made `nodes` depth-first calls (a negative
-    value sets no bound); the return value says whether it finished.
+    search spends at most `nodes` nodes (a negative value sets no bound):
+    each call counts itself and, before its loop, every candidate within the
+    limit there, leaves included. The return value says whether it finished.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
@@ -215,10 +224,11 @@ def _enumerate(
 
     def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
         nonlocal limit, nodes
-        if not nodes:
-            limit = -1  # out of nodes: every loop breaks at its first candidate
-        nodes -= 1
         cand, bi, nr, sl, a, bw = rows[i]
+        if nodes >= 0:
+            nodes -= 1 + bisect_right(cand, limit - cost - bi, key=_cost)
+            if nodes < 0:
+                limit = -1  # out of budget: every loop breaks at its first candidate
         inner = i < last - 1
         for c, x in cand:
             c += cost

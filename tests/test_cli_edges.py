@@ -121,7 +121,7 @@ def test_covering_edges(spec, trials, seed, cap, fmt):
 
 
 @given(
-    groups(*SMALL, 20, 707, 708),
+    groups(*SMALL, 20, 182, 183),
     st.sampled_from([None, "0", "1", "2", "3", "4", "20", "-1", str(BIG), "abc"]),
     st.booleans(),
     FORMATS,
@@ -220,6 +220,10 @@ def test_oracle_work_budget_refuses_large_searches():
         ("oracle", "--group", "1x40", "--force"),
         ("oracle", "--group", f"1x{10**39}", "--force"),
         ("oracle", "--group", "1x8", "--oracle-bound", str(BIG)),
+        # N = 2 and 3 pass the up-front count at any bound without a budget on the candidates
+        ("oracle", "--group", "1x2", "--oracle-bound", str(BIG)),
+        ("oracle", "--group", "1x3", "--oracle-bound", str(BIG)),
+        ("oracle", "--group", "1x3", "--oracle-bound", str(10**8)),
     ],
 )
 def test_oracle_budget_refusals_are_fast(argv):
@@ -230,9 +234,18 @@ def test_oracle_budget_refusals_are_fast(argv):
     assert time.perf_counter() - start < 5
 
 
-def test_oracle_budget_admits_the_benchmark_bounds():
-    code, out, err = call(["oracle", "--group", "1x12", "--oracle-bound", "10", "--json"])
-    assert code == 0 and '"oracle_count": 23736' in out
+@pytest.mark.parametrize(
+    "spec,bound,count",
+    [
+        ("1x12", 10, 23736),  # the benchmark's largest oracle call
+        ("1x2", 10**8, 7070),  # (x, -x) with x even and 2x^2 <= 10^8
+    ],
+)
+def test_oracle_budget_admits_small_searches(spec, bound, count):
+    start = time.perf_counter()
+    code, out, err = call(["oracle", "--group", spec, "--oracle-bound", str(bound), "--json"])
+    assert code == 0 and f'"oracle_count": {count}' in out
+    assert time.perf_counter() - start < 5
 
 
 def test_oracle_below_the_smallest_norm_is_empty():
@@ -241,14 +254,18 @@ def test_oracle_below_the_smallest_norm_is_empty():
     assert code == 0 and '"oracle_count": 0' in out
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 5), (2, 4), (1, 9), (3, 3)])
-@pytest.mark.parametrize("bound", [2, 4, 6, 9])
+def least_oracle_nodes(N, bound):
+    # the count svp_oracle refuses up front when it passes the budget
+    r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
+    return (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (1, 9), (3, 3)])
+@pytest.mark.parametrize("bound", [2, 3, 4, 6, 9])
 def test_oracle_node_count_is_a_lower_bound(shape, bound):
-    # svp_oracle refuses up front when (N - 1)(1 + t(N - 2)) passes the budget;
-    # the search must make at least that many calls, so it cannot finish with one fewer
+    # the search must spend at least that many nodes, so it cannot finish with one fewer
     N = shape[0] * shape[1]
-    t = (isqrt(4 * bound + 1) - 1) // 2
-    count = (N - 1) * (1 + t * (N - 2))
+    count = least_oracle_nodes(N, bound)
     group = AbelianGroup(*shape)
     assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, count - 1) is False
     assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, -1) is True
@@ -256,9 +273,13 @@ def test_oracle_node_count_is_a_lower_bound(shape, bound):
 
 def test_oracle_budget_fits_the_recursion():
     # the largest N the up-front count admits, searched until the budget runs out, in process
-    assert (707 - 1) * (1 + (707 - 2)) <= SVP_ORACLE_MAX_NODES
+    assert least_oracle_nodes(182, 2) <= SVP_ORACLE_MAX_NODES < least_oracle_nodes(183, 2)
     with pytest.raises(OracleBoundExceeded):
-        Lattice(AbelianGroup(1, 707)).svp_oracle(2, max_dim=707)
+        Lattice(AbelianGroup(1, 182)).svp_oracle(2, max_dim=182)
+    start = time.perf_counter()
+    with pytest.raises(OracleBoundExceeded):
+        Lattice(AbelianGroup(1, 183)).svp_oracle(2, max_dim=183)
+    assert time.perf_counter() - start < 1
 
 
 def test_basis_cap_admits_every_default_curve_group():
