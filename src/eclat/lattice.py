@@ -115,7 +115,7 @@ class Lattice:
 
         The lattice enumeration around the origin; independent of the
         pair-sum characterization used by minimal_vectors. A search that
-        would try more than SVP_ORACLE_MAX_NODES nodes raises
+        would spend more than SVP_ORACLE_MAX_NODES nodes raises
         OracleBoundExceeded, before it starts when the count below shows it.
         """
         g = self.group
