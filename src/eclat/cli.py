@@ -4,11 +4,13 @@ Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
 plain text); progress for long sweeps goes to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
-command refuses (a group of order 1, an oracle dimension above the cap or
-an oracle search past lattice.SVP_ORACLE_MAX_NODES nodes, basis and verify
-above BASIS_MAX_N, minvec above MINVEC_MAX_N, density --to above
-DENSITY_MAX_N, covering --trials above COVERING_MAX_TRIALS, and a curve
-prime above --max-p, which is checked before the prime is tested).
+command refuses: a group of order 1; an oracle search or a whole covering
+check past lattice.SEARCH_MAX_NODES nodes, the one limit of both searches;
+covering --trials above COVERING_MAX_TRIALS, since a trial at small N costs
+few nodes but real time, and a group whose covering bounds leave the float
+range; basis and verify above BASIS_MAX_N; minvec above MINVEC_MAX_N;
+density --to above DENSITY_MAX_N; --max-p above curves.MAX_P_CAP; and a
+curve prime above --max-p, checked before the prime is tested.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from fractions import Fraction
 
 from . import basis as basis_mod
 from . import curves, geometry
-from .errors import BadSize, CurveTooLarge, EclatError, OracleBoundExceeded, SingularCurve
+from .errors import BadSize, CurveTooLarge, EclatError, SearchBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
-from .lattice import SVP_ORACLE_MAX_DIM, Lattice, minimal_quadruples, span_rank, support
+from .lattice import Lattice, minimal_quadruples, span_rank, support
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
@@ -37,7 +39,8 @@ BASIS_MAX_N = 10_200
 MINVEC_MAX_N = 128
 # density takes about 0.7 s for --to 100000
 DENSITY_MAX_N = 100_000
-# a trial at N = 10 takes about 0.1 ms, so the largest run takes about 10 s
+# the node budget does not bound the trials at small N: at 1x2 a trial spends about 3 nodes
+# but 36 us, so 2000000 nodes of trials would take about 24 s. The cap keeps a run to about 4 s
 COVERING_MAX_TRIALS = 100_000
 
 # vector rows: (before a row, between entries, after a row, between rows)
@@ -141,7 +144,7 @@ def _int_in(low: int, high: int | None, kind: str):
     return parse
 
 
-_positive_int = _int_in(1, None, "a positive integer")
+_prime_bound = _int_in(1, curves.MAX_P_CAP, f"a positive integer at most {curves.MAX_P_CAP}")
 _nonnegative_int = _int_in(0, None, "a non-negative integer")
 
 
@@ -152,7 +155,7 @@ def _max_p(args) -> int:
     if not env:
         return curves.DEFAULT_MAX_P
     try:
-        return _positive_int(env)
+        return _prime_bound(env)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"EC_LATTICE_MAX_P: {exc}") from None
 
@@ -227,9 +230,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if not 4 <= args.start <= args.stop:
-        print(f"error: --from/--to must satisfy 4 <= from <= to, got [{args.start}, {args.stop}]", file=sys.stderr)
-        return 2
     reports = geometry.mh_window_scan(args.start, args.stop)
     if args.csv:
         writer = csv.writer(sys.stdout)
@@ -249,9 +249,7 @@ def cmd_covering(args) -> int:
     g = args.group
     payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g.order, cyclic=g.is_cyclic))}
     sampled = None
-    if args.trials > 0 and g.order > geometry.CVP_MAX_DIM:
-        print(f"N = {g.order} exceeds the exact-search bound; reporting bounds only", file=sys.stderr)
-    elif args.trials > 0:
+    if args.trials > 0:
         print(f"sampling {args.trials} targets for {g.spec()}", file=sys.stderr)
         sampled = geometry.sampled_covering_check(g, args.trials, args.seed, cvp_cap=args.cvp_cap)
         payload["sampled"] = asdict(sampled)
@@ -264,8 +262,7 @@ def cmd_oracle(args) -> int:
     lat = Lattice(g)
     minimum = lat.minimal_distance_sq()
     bound = minimum if args.oracle_bound is None else args.oracle_bound
-    max_dim = max(g.order, SVP_ORACLE_MAX_DIM) if args.force else SVP_ORACLE_MAX_DIM
-    found = lat.svp_oracle(bound, max_dim=max_dim)
+    found = lat.svp_oracle(bound)
     # every minimal vector has the minimal norm, so the pair-sum side is all or nothing
     agree = found == lat.minimal_vectors() if bound == minimum else None
     payload = {
@@ -365,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = group_command("oracle", "exhaustive short-vector search cross-check", cmd_oracle)
     p.add_argument("--oracle-bound", type=_nonnegative_int, default=None, help="squared-norm bound (default: minimal)")
-    p.add_argument("--force", action="store_true", help="lift the dimension cap")
     add_format(p)
 
     p = sub.add_parser("curve", help="curve -> group -> lattice pipeline")
     p.add_argument("--curve", type=_curve_arg, required=True, metavar="p,a,b")
     p.add_argument(
-        "--max-p", type=_positive_int, default=None, help="prime bound (default env EC_LATTICE_MAX_P or 10000)"
+        "--max-p", type=_prime_bound, default=None, help="prime bound (default env EC_LATTICE_MAX_P or 10000)"
     )
     p.add_argument(
         "--max-basis-n",
@@ -393,7 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SingularCurve, CurveTooLarge, BadSize, OracleBoundExceeded, ValueError) as exc:
+    except (SingularCurve, CurveTooLarge, BadSize, SearchBoundExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EclatError as exc:

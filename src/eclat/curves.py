@@ -28,6 +28,8 @@ from .groups import AbelianGroup, GroupElement
 CurvePoint = tuple[int, int] | None
 
 DEFAULT_MAX_P = 10_000
+# the largest prime bound the CLI accepts: enumerating p = 99991 takes about 1 s and 66 MB
+MAX_P_CAP = 100_000
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,8 @@ class BadShape(EclatError):
     """Group shape outside the range a construction supports."""
 
 
-class OracleBoundExceeded(EclatError):
-    """Exhaustive short-vector search refused: dimension too large."""
-
-
-class CvpBoundExceeded(EclatError):
-    """Exact closest-vector search refused: dimension too large."""
+class SearchBoundExceeded(EclatError):
+    """A lattice search refused: it would pass its node budget or the recursion limit."""
 
 
 class NoPointInRadius(EclatError):

@@ -11,25 +11,19 @@ reported bounds and log-space density comparisons.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .errors import (
-    BadSize,
-    CvpBoundExceeded,
-    InternalInconsistency,
-    LengthMismatch,
-    NoPointInRadius,
-    NotInAn,
-)
+from .errors import BadSize, InternalInconsistency, LengthMismatch, NoPointInRadius, NotInAn, SearchBoundExceeded
 from .groups import AbelianGroup
-from .lattice import Vector, _enumerate
+from .lattice import SEARCH_MAX_NODES, Vector, _enumerate
 
 RationalPoint = tuple[Fraction, ...]
 
-CVP_MAX_DIM = 10
 MH_TOLERANCE = 1e-9
 
 _MASK64 = (1 << 64) - 1
@@ -172,7 +166,9 @@ def retract(group: AbelianGroup, v: Vector) -> Vector:
     return tuple(out)
 
 
-def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> tuple[Vector, Fraction]:
+def cvp(
+    group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction, *, budget: list[int] | None = None
+) -> tuple[Vector, Fraction]:
     """Exact closest lattice vector to the target within the given squared radius.
 
     The shared lattice enumeration around the target, with the radius
@@ -182,10 +178,15 @@ def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> 
     smallest coordinate vector. Entries other than int and Fraction are
     converted exactly with Fraction(). Raises NoPointInRadius if the cap is
     too small.
+
+    budget is a one-item list of the nodes left, which calls can share; a
+    call without one gets SEARCH_MAX_NODES. A search past its budget, or one
+    that recurses (a frame per coordinate) past half the interpreter's
+    recursion limit, raises SearchBoundExceeded.
     """
     N = group.order
-    if N > CVP_MAX_DIM:
-        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
+    if 2 * N > sys.getrecursionlimit():
+        raise SearchBoundExceeded(f"the closest-vector search at N = {N} recurses too deep; use a smaller --group")
     if len(target) != N:
         raise LengthMismatch(f"expected length {N}, got {len(target)}")
     target = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
@@ -204,9 +205,12 @@ def cvp(group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction) -> 
             best = (cost, vec)
         return best[0]
 
-    # the zero vector lies in the lattice, so its cost bounds the minimum; N <= CVP_MAX_DIM
-    # bounds the work, so the search takes no node budget (-1)
-    _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit, -1)
+    if budget is None:
+        budget = [SEARCH_MAX_NODES]
+    # the zero vector lies in the lattice, so its cost bounds the minimum
+    budget[0] = _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit, budget[0])
+    if budget[0] < 0:
+        raise SearchBoundExceeded(f"the search at N = {N} passes its node budget; use fewer --trials or a smaller --group")
     if best is None:
         raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
     return best[1], Fraction(best[0], DD)
@@ -219,6 +223,8 @@ def covering_bounds(N: int, *, cyclic: bool = False) -> CoveringReport:
     comparator bound sqrt(N + 4 log(N-2) + 6 - 4 log 2 + 10/(N-1)) / 2 is
     reported for cyclic groups of order N >= 3 only.
     """
+    if N * N + 4 * N + 8 > sys.float_info.max:  # the largest value converted to a float
+        raise BadSize(f"--group of order {N}: the covering bounds leave the float range")
     mu_sq = covering_radius_An_sq(N)
     lower = math.sqrt(float(mu_sq))
     upper_new = lower + math.sqrt(2.0)
@@ -238,23 +244,21 @@ def splitmix64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-def sample_targets(N: int, trials: int, seed: int) -> list[RationalPoint]:
-    """Deterministic rational targets in the zero-sum hyperplane.
+def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
+    """Deterministic rational targets in the zero-sum hyperplane, drawn one at a time.
 
     Each trial draws N SplitMix64 integers in [-3N, 3N], projects the vector
     onto coordinate sum zero, and scales by 1/(2N).
     """
     state = seed & _MASK64
     width = 6 * N + 1
-    targets = []
     for _ in range(trials):
         draws = []
         for _ in range(N):
             value, state = splitmix64(state)
             draws.append(value % width - 3 * N)
         total = sum(draws)
-        targets.append(tuple(Fraction(N * d - total, 2 * N * N) for d in draws))
-    return targets
+        yield tuple(Fraction(N * d - total, 2 * N * N) for d in draws)
 
 
 def within_upper_bound(dist_sq: Fraction, mu_sq: Fraction) -> bool:
@@ -273,22 +277,41 @@ def sampled_covering_check(
 ) -> SampledCoveringReport:
     """Seeded random covering check: every sampled point must be within
     mu(A_{N-1}) + sqrt(2) of the lattice, and the deep hole (trial 0) must
-    achieve squared distance exactly mu(A_{N-1})^2."""
+    achieve squared distance exactly mu(A_{N-1})^2.
+
+    The searches share one budget of SEARCH_MAX_NODES nodes. A check whose
+    least count passes it raises SearchBoundExceeded before any target is
+    built: each trial spends at least one node, and the deep hole's search
+    tries every prefix of each of its C(N, N // 2) nearest points of A_{N-1},
+    since its limit never drops below mu^2.
+    """
     N = group.order
-    if N > CVP_MAX_DIM:
-        raise CvpBoundExceeded(f"N = {N} exceeds the search bound {CVP_MAX_DIM}")
     mu_sq = covering_radius_An_sq(N)
     if cvp_cap is None:
         # (mu + sqrt 2)^2 = mu^2 + 2 + sqrt(8ab)/b for mu^2 = a/b, rounded up
         a, b = mu_sq.numerator, mu_sq.denominator
         cvp_cap = mu_sq + 2 + Fraction(isqrt(8 * a * b) + 1, b)
-    targets = [deep_hole_An(N)] + sample_targets(N, trials, seed)
-    dists = [cvp(group, tgt, cvp_cap)[1] for tgt in targets]
-    max_sq = max(dists)
+    if cvp_cap < mu_sq:  # the lattice lies in A_{N-1}, so no point of it is nearer the deep hole
+        raise NoPointInRadius(f"no lattice point within squared distance {cvp_cap} of the target")
+    least = 1  # C(N, N // 2) one factor at a time, each partial product C(N - N // 2 + i, i) a lower bound
+    for i in range(1, N // 2 + 1):
+        least = least * (N - N // 2 + i) // i
+        if least > SEARCH_MAX_NODES:  # so a huge N costs one step
+            break
+    if trials + least > SEARCH_MAX_NODES:
+        raise SearchBoundExceeded(
+            f"the covering check at N = {N} with {trials} trials passes {SEARCH_MAX_NODES} nodes;"
+            " use fewer --trials or a smaller --group"
+        )
+    budget = [SEARCH_MAX_NODES]
+    deep_sq = cvp(group, deep_hole_An(N), cvp_cap, budget=budget)[1]
+    max_sq = deep_sq
+    for target in sample_targets(N, trials, seed):
+        max_sq = max(max_sq, cvp(group, target, cvp_cap, budget=budget)[1])
     return SampledCoveringReport(
         trials=trials,
         seed=seed,
-        deep_hole_distance_sq=dists[0],
+        deep_hole_distance_sq=deep_sq,
         max_distance_sq=max_sq,
         all_within_upper=within_upper_bound(max_sq, mu_sq),  # every distance is within the bound when the largest is
         max_reaches_lower=max_sq >= mu_sq,

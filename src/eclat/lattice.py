@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import BadSize, InternalInconsistency, LengthMismatch, NotInAn, OracleBoundExceeded
+from .errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
 from .exact import det_bareiss, echelon_pivots
 from .groups import AbelianGroup, GroupElement
 
@@ -26,11 +25,9 @@ Support = dict[int, int]
 # a minimal vector e_i + e_j - e_k - e_l held as ((i, j), (k, l))
 Quadruple = tuple[tuple[int, int], tuple[int, int]]
 
-SVP_ORACLE_MAX_DIM = 12
-# the nodes the oracle's search may try, leaves included: about 1 s. Refusing up
-# front keeps N at most 182, so the depth-first recursion, one frame per
-# coordinate, stays far under Python's limit
-SVP_ORACLE_MAX_NODES = 2_000_000
+# the nodes one search may try, leaves included: about 1 s. It bounds an svp_oracle
+# search and a whole geometry.sampled_covering_check, all its targets together
+SEARCH_MAX_NODES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,10 @@ class Lattice:
     def minimal_distance_sq(self) -> int:
         """Squared minimal distance: 4 for N >= 4, 6 for N = 3, 8 for N = 2.
 
-        At oracle-friendly sizes the closed form is cross-checked once per
-        group shape against the exhaustive short-vector search.
+        The tests cross-check this closed form against svp_oracle.
         """
         N = self.dim
-        closed = 8 if N == 2 else 6 if N == 3 else 4
-        if N <= SVP_ORACLE_MAX_DIM:
-            _check_oracle_minimum(self.group.m, self.group.n, closed)
-        return closed
+        return 8 if N == 2 else 6 if N == 3 else 4
 
     def minimal_vectors(self) -> list[Vector]:
         """All minimal vectors as dense tuples, sorted lexicographically.
@@ -110,18 +103,18 @@ class Lattice:
         a, c1, c0 = N // T, (N - T) // 2, N // 2
         return a * c1 * (c1 - 1) + (N - a) * c0 * (c0 - 1)
 
-    def svp_oracle(self, norm_sq_bound: int, *, max_dim: int = SVP_ORACLE_MAX_DIM) -> list[Vector]:
+    def svp_oracle(self, norm_sq_bound: int) -> list[Vector]:
         """Every nonzero lattice vector with squared norm <= the bound, sorted.
 
         The lattice enumeration around the origin; independent of the
         pair-sum characterization used by minimal_vectors. A search that
-        would spend more than SVP_ORACLE_MAX_NODES nodes raises
-        OracleBoundExceeded, before it starts when the count below shows it.
+        would spend more than SEARCH_MAX_NODES nodes raises
+        SearchBoundExceeded, before it starts when the count below shows it.
+        That count also keeps N at most 182, so the depth-first recursion, one
+        frame per coordinate, stays far under Python's limit.
         """
         g = self.group
         N = g.order
-        if N > max_dim:
-            raise OracleBoundExceeded(f"N = {N} exceeds the oracle bound {max_dim}")
         bound = int(norm_sq_bound)
         if bound < 2:  # a nonzero zero-sum integer vector has squared norm at least 2
             return []
@@ -137,12 +130,10 @@ class Lattice:
         # entry x, x^2 + |x| <= bound, or with two, x then -x, 2x^2 <= bound
         r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
         least = (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
-        if least > SVP_ORACLE_MAX_NODES or not _enumerate(
-            g, [0] * N, 1, bound, visit, SVP_ORACLE_MAX_NODES
-        ):
-            raise OracleBoundExceeded(
-                f"the search for squared norms <= {bound} at N = {N} passes {SVP_ORACLE_MAX_NODES} nodes;"
-                " lower --oracle-bound, or N under --force"
+        if least > SEARCH_MAX_NODES or _enumerate(g, [0] * N, 1, bound, visit, SEARCH_MAX_NODES) < 0:
+            raise SearchBoundExceeded(
+                f"the search for squared norms <= {bound} at N = {N} passes {SEARCH_MAX_NODES} nodes;"
+                " lower --oracle-bound or use a smaller --group"
             )
         return sorted(out)
 
@@ -181,16 +172,17 @@ _cost = itemgetter(0)
 
 def _enumerate(
     group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int], nodes: int
-) -> bool:
+) -> int:
     """Visit every lattice vector x with cost sum((D*x_i - ts_i)^2) <= limit.
 
     The target is ts / D. The search is depth first over the coordinates in
     index order; the zero-sum constraint fixes the last coordinate and
     membership is tested there. visit(cost, x) is called at each lattice
     vector within the limit and returns the limit to continue with. The
-    search spends at most `nodes` nodes (a negative value sets no bound):
-    each call counts itself and, before its loop, every candidate within the
-    limit there, leaves included. The return value says whether it finished.
+    search spends at most `nodes` nodes: each call counts itself and, before
+    its loop, every candidate within the limit there, leaves included. It
+    returns the nodes left, so one budget can span several searches; a
+    negative count means the budget ran out before the search finished.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
@@ -200,13 +192,13 @@ def _enumerate(
     rho_j = |D*n_j - ts_j| <= D/2.
     """
     if limit < 0:
-        return True
+        return nodes
     N, m, n = group.order, group.m, group.n
     last = N - 1
     if last == 0:  # the zero vector is the only zero-sum vector
         if ts[0] ** 2 <= limit:
             visit(ts[0] ** 2, (0,))
-        return True
+        return nodes - 1
     r = isqrt(limit)
     cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
     base, near, slope = [0] * N, [0] * N, [0] * N
@@ -225,10 +217,9 @@ def _enumerate(
     def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
         nonlocal limit, nodes
         cand, bi, nr, sl, a, bw = rows[i]
-        if nodes >= 0:
-            nodes -= 1 + bisect_right(cand, limit - cost - bi, key=_cost)
-            if nodes < 0:
-                limit = -1  # out of budget: every loop breaks at its first candidate
+        nodes -= 1 + bisect_right(cand, limit - cost - bi, key=_cost)
+        if nodes < 0:
+            limit = -1  # out of budget: every loop breaks at its first candidate
         inner = i < last - 1
         for c, x in cand:
             c += cost
@@ -248,18 +239,7 @@ def _enumerate(
                 limit = visit(c, tuple(coords))
 
     dfs(0, 0, 0, 0, 0)
-    return limit >= 0
-
-
-@lru_cache(maxsize=None)
-def _check_oracle_minimum(m: int, n: int, expected: int) -> bool:
-    lat = Lattice(AbelianGroup(m, n))
-    found = lat.svp_oracle(expected)
-    if not found or min(sum(c * c for c in v) for v in found) != expected:
-        raise InternalInconsistency(
-            f"oracle minimum disagrees with the closed form {expected} for shape ({m}, {n})"
-        )
-    return True
+    return nodes
 
 
 def divisor_degree(v: Vector) -> int:

@@ -78,8 +78,9 @@ def test_criterion_3_cyclic_4_exception():
 
 
 def test_criterion_4_svp_oracle_agreement():
-    with criterion(4, "SVP oracle agreement, N <= 10"):
-        for g in all_canonical_groups(2, 10):
+    # this also checks the closed-form minimum: a wrong one would make the oracle find more or nothing
+    with criterion(4, "SVP oracle agreement, N <= 12"):
+        for g in all_canonical_groups(2, 12):
             lat = Lattice(g)
             minimum = lat.minimal_distance_sq()
             assert lat.svp_oracle(minimum) == lat.minimal_vectors(), g.spec()

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from eclat.basis import build_minimal_basis
-from eclat.cli import COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, main
+from eclat.cli import COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, build_parser, main
 from eclat.groups import canonical_groups_of_order
 from eclat.lattice import Lattice
 
@@ -144,10 +144,12 @@ def test_covering_deterministic(capsys):
     assert payload["sampled"]["all_within_upper"] is True
 
 
-def test_covering_large_group_skips_sampling(capsys):
-    code, out = run(capsys, "covering", "--group", "1x20", "--trials", "5", "--json")
-    assert code == 0
-    assert "sampled" not in json.loads(out)
+def test_covering_large_group_certifies(capsys):
+    # no dimension cap: N = 16 and 20 are searched within the node budget
+    for spec in ("1x16", "1x20"):
+        code, out = run(capsys, "covering", "--group", spec, "--json")
+        sampled = json.loads(out)["sampled"]
+        assert code == 0 and sampled["all_within_upper"] and sampled["max_reaches_lower"]
 
 
 def test_oracle(capsys):
@@ -190,6 +192,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "density", "--from", "1", "--to", "5")[0] == 2
 
 
+def test_density_range_error_is_the_library_message(capsys):
+    assert main(["density", "--from", "5", "--to", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: need 4 <= n_min <= n_max, got [5, 4]\n")
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--cvp-cap", "inf"), ("--cvp-cap", "1e400"), ("--cvp-cap", "0"), ("--cvp-cap", "1/0"), ("--trials", "-3")],
@@ -227,7 +234,7 @@ def test_negative_integer_flags_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [(cmd, "--group", "1x1") for cmd in ("basis", "minvec", "verify", "covering", "oracle")]
-    + [("oracle", "--group", "1x13")],
+    + [("oracle", "--group", "1x183")],
 )
 def test_size_refusals_are_usage_errors(capsys, argv):
     code = main([*argv, "--json"])
@@ -245,6 +252,8 @@ def test_size_refusals_are_usage_errors(capsys, argv):
         (("density", "--from", "4", "--to", str(DENSITY_MAX_N + 1)), "--to"),
         (("density", "--from", "4", "--to", "10**9"), "--to"),
         (("covering", "--group", "1x5", "--trials", str(COVERING_MAX_TRIALS + 1)), "--trials"),
+        (("covering", "--group", f"1x{10**200}", "--trials", "0"), "--group"),
+        (("covering", "--group", "1x24"), "--group"),
     ],
 )
 def test_size_caps_are_usage_errors(capsys, argv, flag):
@@ -259,9 +268,8 @@ def test_size_caps_are_usage_errors(capsys, argv, flag):
 
 def test_size_caps_admit_their_limit(capsys):
     assert run(capsys, "density", "--from", str(DENSITY_MAX_N), "--to", str(DENSITY_MAX_N), "--json")[0] == 0
-    # above the exact-search bound the trials are parsed and then skipped
-    code, out = run(capsys, "covering", "--group", "1x20", "--trials", str(COVERING_MAX_TRIALS), "--json")
-    assert code == 0 and "sampled" not in json.loads(out)
+    args = build_parser().parse_args(["covering", "--group", "1x2", "--trials", str(COVERING_MAX_TRIALS)])
+    assert args.trials == COVERING_MAX_TRIALS
 
 
 def test_curve_prime_bound(capsys, monkeypatch):

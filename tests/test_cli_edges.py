@@ -4,9 +4,11 @@ The edge tests draw each flag from its edges: 0, 1, negative values, each
 cap and the values next to it, 40-digit integers and malformed specs. Every
 call must exit 0, 1 or 2 without a traceback. Sizes that take seconds by
 design are left out where noted: basis at BASIS_MAX_N and minvec at
-MINVEC_MAX_N print hundreds of MB, covering at N <= 10 with 100000 trials
-takes about 10 s, and a curve whose prime above 10^5 is admitted by --max-p
-takes seconds to enumerate.
+MINVEC_MAX_N print hundreds of MB, and covering at N <= 10 with 100000
+trials takes up to about 8 s. The node budget SEARCH_MAX_NODES is the only
+limit of the oracle and of a covering check, with no dimension cap; it does
+not bound the trials at small N, where a trial costs few nodes but real
+time, so COVERING_MAX_TRIALS stays.
 """
 
 import contextlib
@@ -22,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eclat.cli import BASIS_MAX_N, COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, main
-from eclat.errors import BadSize, OracleBoundExceeded
+from eclat.curves import MAX_P_CAP
+from eclat.errors import BadSize, SearchBoundExceeded
 from eclat.groups import AbelianGroup
-from eclat.lattice import SVP_ORACLE_MAX_NODES, Lattice, _enumerate
+from eclat.lattice import SEARCH_MAX_NODES, Lattice, _enumerate
 
 BIG = 10**39 + 3  # 40 digits
 MALFORMED_GROUPS = ["", "x", "3", "2x", "x3", "2x3x4", "a x b", "1e3x2", "-1x5", "2.0x4", "٣x٤"]
@@ -69,13 +72,6 @@ def order_of(spec):
     return m * n
 
 
-def prime_of(spec):
-    try:
-        return int(spec.split(",")[0])
-    except ValueError:
-        return None
-
-
 SMALL = [2, 3, 4, 5, 12, 13]
 FORMATS = st.sampled_from([(), ("--json",), ("--csv",)])
 
@@ -105,7 +101,7 @@ def test_minvec_edges(spec, fmt):
 
 
 @given(
-    groups(*SMALL),
+    groups(*SMALL, 10**200, 10**400),
     ints(0, 1, -1, 2, COVERING_MAX_TRIALS, COVERING_MAX_TRIALS + 1, BIG),
     ints(0, -1, 2**64, BIG),
     st.sampled_from([None, "0", "1", "-1", "1/0", "inf", "nan", "1e400", "35/6", str(BIG), "abc"]),
@@ -115,7 +111,7 @@ def test_minvec_edges(spec, fmt):
 def test_covering_edges(spec, trials, seed, cap, fmt):
     N = order_of(spec)
     if trials == str(COVERING_MAX_TRIALS) and N is not None and 1 <= N <= 10:
-        trials = "2"  # the largest run takes about 10 s by design
+        trials = "2"  # the largest run takes up to about 8 s by design
     argv = ["covering", "--group", spec, "--trials", trials, "--seed", seed, *fmt]
     check_edge_call(argv if cap is None else [*argv, "--cvp-cap", cap])
 
@@ -123,12 +119,11 @@ def test_covering_edges(spec, trials, seed, cap, fmt):
 @given(
     groups(*SMALL, 20, 182, 183),
     st.sampled_from([None, "0", "1", "2", "3", "4", "20", "-1", str(BIG), "abc"]),
-    st.booleans(),
     FORMATS,
 )
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_oracle_edges(spec, bound, force, fmt):
-    argv = ["oracle", "--group", spec, *(["--force"] if force else []), *fmt]
+def test_oracle_edges(spec, bound, fmt):
+    argv = ["oracle", "--group", spec, *fmt]
     check_edge_call(argv if bound is None else [*argv, "--oracle-bound", bound])
 
 
@@ -155,15 +150,12 @@ CURVE_PRIMES = [-1, 0, 1, 2, 3, 4, 5, 7, 13, 9973, 10007, BIG]
         ),
         st.sampled_from(["", "7", "7,1", "7,1,1,1", "a,b,c", "7,,1", "1e3,1,1"]),
     ),
-    st.sampled_from([None, "0", "1", "-1", "4", "13", "10007", str(BIG), "abc"]),
+    st.sampled_from([None, "0", "1", "-1", "4", "13", "10007", str(MAX_P_CAP), str(MAX_P_CAP + 1), str(BIG), "abc"]),
     st.sampled_from([None, "0", "1", "-1", str(BIG), "abc"]),
     st.sampled_from([(), ("--json",)]),
 )
 @EDGE_SETTINGS
 def test_curve_edges(spec, max_p, max_basis_n, fmt):
-    p = prime_of(spec)
-    if max_p == str(BIG) and p is not None and p > 10**5:
-        max_p = "13"  # an admitted prime above 10^5 takes seconds to enumerate
     argv = ["curve", "--curve", spec, *fmt]
     argv += [] if max_p is None else ["--max-p", max_p]
     argv += [] if max_basis_n is None else ["--max-basis-n", max_basis_n]
@@ -210,15 +202,15 @@ def test_oracle_work_budget_refuses_large_searches():
     # without a budget, bound 20 at N = 12 searches for about 15 s and exits 0
     proc, elapsed = run_cli("oracle", "--group", "1x12", "--oracle-bound", "20", "--json")
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "--oracle-bound" in proc.stderr and "--force" in proc.stderr and "Traceback" not in proc.stderr
+    assert "--oracle-bound" in proc.stderr and "--group" in proc.stderr and "Traceback" not in proc.stderr
     assert elapsed < 10
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("oracle", "--group", "1x40", "--force"),
-        ("oracle", "--group", f"1x{10**39}", "--force"),
+        ("oracle", "--group", "1x183"),  # the smallest N refused up front at the minimal norm
+        ("oracle", "--group", f"1x{10**39}"),
         ("oracle", "--group", "1x8", "--oracle-bound", str(BIG)),
         # N = 2 and 3 pass the up-front count at any bound without a budget on the candidates
         ("oracle", "--group", "1x2", "--oracle-bound", str(BIG)),
@@ -250,7 +242,7 @@ def test_oracle_budget_admits_small_searches(spec, bound, count):
 
 def test_oracle_below_the_smallest_norm_is_empty():
     # a nonzero zero-sum vector has squared norm at least 2, at any dimension
-    code, out, err = call(["oracle", "--group", "1x5000", "--force", "--oracle-bound", "1", "--json"])
+    code, out, err = call(["oracle", "--group", "1x5000", "--oracle-bound", "1", "--json"])
     assert code == 0 and '"oracle_count": 0' in out
 
 
@@ -267,18 +259,18 @@ def test_oracle_node_count_is_a_lower_bound(shape, bound):
     N = shape[0] * shape[1]
     count = least_oracle_nodes(N, bound)
     group = AbelianGroup(*shape)
-    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, count - 1) is False
-    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, -1) is True
+    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, count - 1) < 0
+    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, SEARCH_MAX_NODES) >= 0
 
 
 def test_oracle_budget_fits_the_recursion():
     # the largest N the up-front count admits, searched until the budget runs out, in process
-    assert least_oracle_nodes(182, 2) <= SVP_ORACLE_MAX_NODES < least_oracle_nodes(183, 2)
-    with pytest.raises(OracleBoundExceeded):
-        Lattice(AbelianGroup(1, 182)).svp_oracle(2, max_dim=182)
+    assert least_oracle_nodes(182, 2) <= SEARCH_MAX_NODES < least_oracle_nodes(183, 2)
+    with pytest.raises(SearchBoundExceeded):
+        Lattice(AbelianGroup(1, 182)).svp_oracle(2)
     start = time.perf_counter()
-    with pytest.raises(OracleBoundExceeded):
-        Lattice(AbelianGroup(1, 183)).svp_oracle(2, max_dim=183)
+    with pytest.raises(SearchBoundExceeded):
+        Lattice(AbelianGroup(1, 183)).svp_oracle(2)
     assert time.perf_counter() - start < 1
 
 

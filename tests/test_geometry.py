@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eclat.errors import BadSize, CvpBoundExceeded, NoPointInRadius, NotInAn
+from eclat.errors import BadSize, NoPointInRadius, NotInAn, SearchBoundExceeded
 from eclat.geometry import (
     covering_bounds,
     covering_radius_An_sq,
@@ -22,7 +23,7 @@ from eclat.geometry import (
     zeta,
 )
 from eclat.groups import AbelianGroup, canonical_groups_of_order
-from eclat.lattice import Lattice
+from eclat.lattice import SEARCH_MAX_NODES, Lattice
 
 
 def test_zeta_values():
@@ -117,8 +118,7 @@ def test_cvp_lattice_point_and_errors():
     assert vec == (0, 0, 0, 0) and dist == 0
     with pytest.raises(NoPointInRadius):
         cvp(g, deep_hole_An(4), Fraction(1, 2))
-    with pytest.raises(CvpBoundExceeded):
-        cvp(AbelianGroup(1, 11), (Fraction(0),) * 11, Fraction(1))
+    assert cvp(AbelianGroup(1, 11), (Fraction(0),) * 11, Fraction(1)) == ((0,) * 11, 0)
     with pytest.raises(NotInAn):
         cvp(g, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
 
@@ -144,7 +144,7 @@ def test_cvp_matches_brute_force():
         g = AbelianGroup(*shape)
         N = g.order
         lat = Lattice(g)
-        for target in [deep_hole_An(N)] + sample_targets(N, 6, 2024):
+        for target in [deep_hole_An(N), *sample_targets(N, 6, 2024)]:
             got_vec, got_sq = cvp(g, target, Fraction(9))
             best = None
             for combo in itertools.product(range(-3, 4), repeat=N - 1):
@@ -194,10 +194,10 @@ def test_splitmix64_reference_sequence():
 
 
 def test_sample_targets_deterministic_and_in_plane():
-    a = sample_targets(6, 5, 42)
-    b = sample_targets(6, 5, 42)
+    a = list(sample_targets(6, 5, 42))
+    b = list(sample_targets(6, 5, 42))
     assert a == b
-    assert sample_targets(6, 5, 43) != a
+    assert list(sample_targets(6, 5, 43)) != a
     for t in a:
         assert sum(t) == 0
         # draws in [-3N, 3N] projected and scaled by 1/(2N) stay below 3
@@ -212,8 +212,54 @@ def test_sampled_covering_check():
     assert rep1.all_within_upper and rep1.max_reaches_lower
     assert rep1.deep_hole_distance_sq == covering_radius_An_sq(4)
     assert rep1.max_distance_sq >= rep1.deep_hole_distance_sq
-    with pytest.raises(CvpBoundExceeded):
-        sampled_covering_check(AbelianGroup(1, 12), 2, 1)
+    rep12 = sampled_covering_check(AbelianGroup(1, 12), 2, 1)
+    assert rep12.all_within_upper and rep12.max_reaches_lower
+
+
+def test_cvp_refuses_a_search_deeper_than_the_recursion_limit():
+    # the zero target costs about 2(N - 1) nodes, so only the depth guard stops it
+    with pytest.raises(SearchBoundExceeded):
+        cvp(AbelianGroup(1, 2000), (Fraction(0),) * 2000, Fraction(1))
+
+
+def test_cvp_calls_share_one_budget():
+    g = AbelianGroup(1, 6)
+    target = next(sample_targets(6, 1, 3))
+    budget = [SEARCH_MAX_NODES]
+    expected = cvp(g, target, Fraction(9), budget=budget)
+    spent = SEARCH_MAX_NODES - budget[0]
+    assert spent > 0
+    budget = [spent]
+    assert cvp(g, target, Fraction(9), budget=budget) == expected and budget == [0]
+    with pytest.raises(SearchBoundExceeded):
+        cvp(g, target, Fraction(9), budget=budget)
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_deep_hole_search_spends_at_least_the_central_binomial(N):
+    # every prefix of each of the C(N, N // 2) nearest points of A_{N-1} is tried
+    g = AbelianGroup(1, N)
+    with pytest.raises(SearchBoundExceeded):
+        cvp(g, deep_hole_An(N), Fraction(N), budget=[math.comb(N, N // 2) - 1])
+    assert cvp(g, deep_hole_An(N), Fraction(N))[1] == covering_radius_An_sq(N)
+
+
+@pytest.mark.parametrize(
+    "shape,trials,cap,error",
+    [
+        ((1, 24), 1, None, SearchBoundExceeded),  # C(24, 12) passes the budget before any search
+        ((1, 10**39), 50, None, SearchBoundExceeded),
+        ((1, 20), SEARCH_MAX_NODES, None, SearchBoundExceeded),  # one node per trial at least
+        ((1, 40), 50, Fraction(9), NoPointInRadius),  # below mu^2 = 10, refused before the count
+        ((1, 22), 1, None, SearchBoundExceeded),  # the deep hole alone spends 3(2^21 - 1) nodes
+        ((1, 10), 10000, None, SearchBoundExceeded),  # about 220 nodes a trial, all counted together
+    ],
+)
+def test_sampled_covering_refusals(shape, trials, cap, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        sampled_covering_check(AbelianGroup(*shape), trials, 7, cvp_cap=cap)
+    assert time.perf_counter() - start < 5
 
 
 def test_sampled_covering_all_small_groups():

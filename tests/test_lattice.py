@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eclat.errors import BadSize, LengthMismatch, NotInAn, OracleBoundExceeded
+from eclat.errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
 from eclat.groups import AbelianGroup, canonical_groups_of_order
 from eclat.lattice import (
     Lattice,
@@ -202,9 +202,10 @@ def test_svp_oracle_examples():
 
 
 def test_svp_oracle_bound():
-    with pytest.raises(OracleBoundExceeded):
-        cyclic(13).svp_oracle(4)
-    assert cyclic(13).svp_oracle(4, max_dim=13)  # explicit override works
+    # the node budget is the only limit: N = 13 is searched, bound 20 at N = 12 is refused
+    assert cyclic(13).svp_oracle(4) == cyclic(13).minimal_vectors()
+    with pytest.raises(SearchBoundExceeded):
+        cyclic(12).svp_oracle(20)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (1, 8), (2, 4), (3, 3)])
