@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
-plain text); progress for long sweeps goes to stderr. Exit status: 0 on
+plain text); notes and errors go to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
 command refuses: a group of order 1; an oracle search or a whole covering
@@ -39,8 +39,9 @@ BASIS_MAX_N = 10_200
 MINVEC_MAX_N = 128
 # density takes about 0.7 s for --to 100000
 DENSITY_MAX_N = 100_000
-# the node budget does not bound the trials at small N: at 1x2 a trial spends about 3 nodes
-# but 36 us, so 2000000 nodes of trials would take about 24 s. The cap keeps a run to about 4 s
+# the node budget does not bound the trials at small N: most trials spend one node but take about
+# 12 us at 1x2 and 35 us at 1x10, so 2000000 nodes of trials would take 20 to 50 s. The cap keeps
+# a run to about 4 s
 COVERING_MAX_TRIALS = 100_000
 
 # vector rows: (before a row, between entries, after a row, between rows)
@@ -250,7 +251,6 @@ def cmd_covering(args) -> int:
     payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g.order, cyclic=g.is_cyclic))}
     sampled = None
     if args.trials > 0:
-        print(f"sampling {args.trials} targets for {g.spec()}", file=sys.stderr)
         sampled = geometry.sampled_covering_check(g, args.trials, args.seed, cvp_cap=args.cvp_cap)
         payload["sampled"] = asdict(sampled)
     _emit(args, payload)

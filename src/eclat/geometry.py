@@ -157,13 +157,42 @@ def retract(group: AbelianGroup, v: Vector) -> Vector:
         raise LengthMismatch(f"expected length {group.order}, got {len(v)}")
     if sum(v) != 0:
         raise NotInAn("coordinates must sum to zero")
-    s = group.weighted_sum(enumerate(v))
-    if s == group.identity:
-        return tuple(v)
-    out = list(v)
-    out[0] += 1
-    out[group.element_index(s)] -= 1
-    return tuple(out)
+    return _retraction_point(group, list(v), 1)[0]
+
+
+def _retraction_point(group: AbelianGroup, ts: list[int], D: int) -> tuple[Vector, int]:
+    """A lattice vector near the target ts / D, and its cost sum((D*x_i - ts_i)^2).
+
+    The construction behind mu(L) <= mu(A_{N-1}) + sqrt(2): the nearest point
+    of A_{N-1} (Conway and Sloane, ch. 20: round each coordinate, then move
+    back by one the |sum(x)| coordinates rounded furthest in the direction
+    of that sum), then the cheapest step +e_g - e_{g+s} into the lattice, where s is
+    the point's group-weighted sum. With residues r = D*x - ts the step costs
+    2D^2 + 2D(r_g - r_{g+s}), so g is found in one pass over the elements;
+    ties go to the element first in index order, so an integer target steps
+    from the identity, as retract does. The target must lie in the zero-sum
+    hyperplane.
+    """
+    m, n = group.m, group.n
+    x = [(2 * t + D) // (2 * D) for t in ts]
+    r = [D * xi - t for xi, t in zip(x, ts)]
+    k = sum(x)
+    if k:
+        # lowering x_i changes the cost by D^2 - 2D r_i and raising it by D^2 + 2D r_i: move the |k| cheapest
+        step = 1 if k > 0 else -1
+        for i in sorted(range(m * n), key=r.__getitem__, reverse=k > 0)[: abs(k)]:
+            x[i] -= step
+            r[i] -= step * D
+    sa, sb = group.weighted_sum(enumerate(x))
+    if sa or sb:
+        # each element g = (a, b), at coordinate a*n + b, paired with g + s
+        steps = [(a * n + b, (a + sa) % m * n + (b + sb) % n) for a in range(m) for b in range(n)]
+        g, h = min(steps, key=lambda gh: r[gh[0]] - r[gh[1]])
+        x[g] += 1
+        x[h] -= 1
+        r[g] += D
+        r[h] -= D
+    return tuple(x), sum(c * c for c in r)
 
 
 def cvp(
@@ -172,12 +201,14 @@ def cvp(
     """Exact closest lattice vector to the target within the given squared radius.
 
     The shared lattice enumeration around the target, with the radius
-    shrinking to the best cost found so far. It starts from the cap or from
-    the cost of the zero vector, whichever is smaller, so the search does not
-    grow with a generous cap. Ties are broken toward the lexicographically
-    smallest coordinate vector. Entries other than int and Fraction are
-    converted exactly with Fraction(). Raises NoPointInRadius if the cap is
-    too small.
+    shrinking to the best cost found so far. It starts from the smallest of
+    the cap, the cost of the zero vector and the cost of the lattice vector
+    the paper's retraction gives (the nearest point of A_{N-1} plus one step),
+    so the search grows neither with a generous cap nor with the target's
+    distance from the origin. Every vector within that start is visited, so
+    ties are still broken toward the lexicographically smallest coordinate
+    vector. Entries other than int and Fraction are converted exactly with
+    Fraction(). Raises NoPointInRadius if the cap is too small.
 
     budget is a one-item list of the nodes left, which calls can share; a
     call without one gets SEARCH_MAX_NODES. A search past its budget, or one
@@ -207,8 +238,9 @@ def cvp(
 
     if budget is None:
         budget = [SEARCH_MAX_NODES]
-    # the zero vector lies in the lattice, so its cost bounds the minimum
-    budget[0] = _enumerate(group, ts, D, min(cap_scaled, sum(x * x for x in ts)), visit, budget[0])
+    # the zero vector and the retraction point lie in the lattice, so their costs bound the minimum
+    limit = min(cap_scaled, sum(x * x for x in ts), _retraction_point(group, ts, D)[1])
+    budget[0] = _enumerate(group, ts, D, limit, visit, budget[0])
     if budget[0] < 0:
         raise SearchBoundExceeded(f"the search at N = {N} passes its node budget; use fewer --trials or a smaller --group")
     if best is None:
@@ -244,12 +276,8 @@ def splitmix64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
-    """Deterministic rational targets in the zero-sum hyperplane, drawn one at a time.
-
-    Each trial draws N SplitMix64 integers in [-3N, 3N], projects the vector
-    onto coordinate sum zero, and scales by 1/(2N).
-    """
+def _scaled_targets(N: int, trials: int, seed: int) -> Iterator[list[int]]:
+    """The targets of sample_targets as integer numerators over 2N^2."""
     state = seed & _MASK64
     width = 6 * N + 1
     for _ in range(trials):
@@ -258,7 +286,18 @@ def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
             value, state = splitmix64(state)
             draws.append(value % width - 3 * N)
         total = sum(draws)
-        yield tuple(Fraction(N * d - total, 2 * N * N) for d in draws)
+        yield [N * d - total for d in draws]
+
+
+def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
+    """Deterministic rational targets in the zero-sum hyperplane, drawn one at a time.
+
+    Each trial draws N SplitMix64 integers in [-3N, 3N], projects the vector
+    onto coordinate sum zero, and scales by 1/(2N).
+    """
+    D = 2 * N * N
+    for ts in _scaled_targets(N, trials, seed):
+        yield tuple(Fraction(t, D) for t in ts)
 
 
 def within_upper_bound(dist_sq: Fraction, mu_sq: Fraction) -> bool:
@@ -279,11 +318,14 @@ def sampled_covering_check(
     mu(A_{N-1}) + sqrt(2) of the lattice, and the deep hole (trial 0) must
     achieve squared distance exactly mu(A_{N-1})^2.
 
-    The searches share one budget of SEARCH_MAX_NODES nodes. A check whose
-    least count passes it raises SearchBoundExceeded before any target is
-    built: each trial spends at least one node, and the deep hole's search
-    tries every prefix of each of its C(N, N // 2) nearest points of A_{N-1},
-    since its limit never drops below mu^2.
+    A trial whose retraction point (see cvp) is within the largest distance
+    so far cannot raise it, so it is charged one node and not searched; every
+    other trial is searched with cvp. The searches and the charges share one
+    budget of SEARCH_MAX_NODES nodes. A check whose least count passes it
+    raises SearchBoundExceeded before any target is built: each trial spends
+    at least one node, and the deep hole's search tries every prefix of each
+    of its C(N, N // 2) nearest points of A_{N-1}, since its limit never drops
+    below mu^2.
     """
     N = group.order
     mu_sq = covering_radius_An_sq(N)
@@ -306,8 +348,17 @@ def sampled_covering_check(
     budget = [SEARCH_MAX_NODES]
     deep_sq = cvp(group, deep_hole_An(N), cvp_cap, budget=budget)[1]
     max_sq = deep_sq
-    for target in sample_targets(N, trials, seed):
-        max_sq = max(max_sq, cvp(group, target, cvp_cap, budget=budget)[1])
+    D = 2 * N * N
+    for ts in _scaled_targets(N, trials, seed):
+        if _retraction_point(group, ts, D)[1] * max_sq.denominator <= max_sq.numerator * D * D:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchBoundExceeded(
+                    f"the covering check at N = {N} passes its node budget; use fewer --trials or a smaller --group"
+                )
+            continue
+        # looked up on the module at each call, so a wrapper set on geometry.cvp sees every search
+        max_sq = max(max_sq, cvp(group, tuple(Fraction(t, D) for t in ts), cvp_cap, budget=budget)[1])
     return SampledCoveringReport(
         trials=trials,
         seed=seed,

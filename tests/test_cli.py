@@ -234,7 +234,8 @@ def test_negative_integer_flags_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [(cmd, "--group", "1x1") for cmd in ("basis", "minvec", "verify", "covering", "oracle")]
-    + [("oracle", "--group", "1x183")],
+    + [("oracle", "--group", "1x183")]
+    + [("covering", "--group", "1x24")],
 )
 def test_size_refusals_are_usage_errors(capsys, argv):
     code = main([*argv, "--json"])
@@ -253,7 +254,6 @@ def test_size_refusals_are_usage_errors(capsys, argv):
         (("density", "--from", "4", "--to", "10**9"), "--to"),
         (("covering", "--group", "1x5", "--trials", str(COVERING_MAX_TRIALS + 1)), "--trials"),
         (("covering", "--group", f"1x{10**200}", "--trials", "0"), "--group"),
-        (("covering", "--group", "1x24"), "--group"),
     ],
 )
 def test_size_caps_are_usage_errors(capsys, argv, flag):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eclat import geometry
 from eclat.errors import BadSize, NoPointInRadius, NotInAn, SearchBoundExceeded
 from eclat.geometry import (
+    _retraction_point,
     covering_bounds,
     covering_radius_An_sq,
     cvp,
@@ -252,7 +254,7 @@ def test_deep_hole_search_spends_at_least_the_central_binomial(N):
         ((1, 20), SEARCH_MAX_NODES, None, SearchBoundExceeded),  # one node per trial at least
         ((1, 40), 50, Fraction(9), NoPointInRadius),  # below mu^2 = 10, refused before the count
         ((1, 22), 1, None, SearchBoundExceeded),  # the deep hole alone spends 3(2^21 - 1) nodes
-        ((1, 10), 10000, None, SearchBoundExceeded),  # about 220 nodes a trial, all counted together
+        ((1, 21), 1, None, SearchBoundExceeded),  # C(21, 10) passes the up-front count, the deep hole's search does not
     ],
 )
 def test_sampled_covering_refusals(shape, trials, cap, error):
@@ -260,6 +262,56 @@ def test_sampled_covering_refusals(shape, trials, cap, error):
     with pytest.raises(error):
         sampled_covering_check(AbelianGroup(*shape), trials, 7, cvp_cap=cap)
     assert time.perf_counter() - start < 5
+
+
+def test_sampled_covering_charges_one_node_per_trial_it_does_not_search(monkeypatch):
+    # at 1x4 and seed 1 the first two trials have retraction points within the deep hole's distance 1
+    g = AbelianGroup(1, 4)
+    budget = [SEARCH_MAX_NODES]
+    cvp(g, deep_hole_An(4), Fraction(4), budget=budget)
+    deep_nodes = SEARCH_MAX_NODES - budget[0]
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", deep_nodes + 2)
+    assert sampled_covering_check(g, 2, 1).max_distance_sq == 1
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", deep_nodes + 1)
+    with pytest.raises(SearchBoundExceeded):
+        sampled_covering_check(g, 2, 1)
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_sampled_covering_max_matches_a_search_of_every_trial(N):
+    for g in canonical_groups_of_order(N):
+        for seed in (3, 2024):
+            cap = Fraction(N + 8)
+            expected = max(cvp(g, t, cap)[1] for t in [deep_hole_An(N), *sample_targets(N, 40, seed)])
+            assert sampled_covering_check(g, 40, seed, cvp_cap=cap).max_distance_sq == expected
+
+
+@given(
+    st.sampled_from([(m, n) for m in (1, 2, 3) for n in range(1, 13) if 2 <= m * n <= 12]),
+    st.integers(1, 60),
+    st.lists(st.integers(-(10**12), 10**12) | st.integers(-200, 200), min_size=11, max_size=11),
+)
+@settings(max_examples=150, deadline=None)
+def test_retraction_point_is_a_lattice_vector_within_the_paper_bound(shape, D, draws):
+    g = AbelianGroup(*shape)
+    N = g.order
+    ts = draws[: N - 1] + [-sum(draws[: N - 1])]
+    v, cost = _retraction_point(g, ts, D)
+    assert Lattice(g).contains(v)
+    assert cost == sum((D * x - t) ** 2 for x, t in zip(v, ts))
+    dist = Fraction(cost, D * D)
+    # the nearest point of A_{N-1} is within mu(A_{N-1}), and the step into the lattice adds at most sqrt(2)
+    assert within_upper_bound(dist, covering_radius_An_sq(N))
+    assert cvp(g, tuple(Fraction(t, D) for t in ts), dist)[1] <= dist
+
+
+def test_cvp_far_from_the_origin():
+    g = AbelianGroup(1, 3)
+    start = time.perf_counter()
+    assert cvp(g, (10**6, -(10**6), 0), Fraction(10**13)) == ((999999, -999999, 0), 2)
+    assert time.perf_counter() - start < 0.5
+    vec, dist = cvp(g, (10**40 + Fraction(1, 3), -(10**40), Fraction(-1, 3)), Fraction(10**90))
+    assert Lattice(g).contains(vec) and dist <= 2
 
 
 def test_sampled_covering_all_small_groups():
