@@ -39,9 +39,9 @@ BASIS_MAX_N = 10_200
 MINVEC_MAX_N = 128
 # density takes about 0.7 s for --to 100000
 DENSITY_MAX_N = 100_000
-# the node budget does not bound the trials at small N: most trials spend one node but take about
-# 12 us at 1x2 and 35 us at 1x10, so 2000000 nodes of trials would take 20 to 50 s. The cap keeps
-# a run to about 4 s
+# the node budget charges a trial N nodes, which does not bound the trials at small N: a trial takes
+# about 12 us at 1x2 and 35 us at 1x10, so the 10^6 trials that 2000000 nodes admit at N = 2 would
+# take about 12 s. The cap keeps a run to about 4 s
 COVERING_MAX_TRIALS = 100_000
 
 # vector rows: (before a row, between entries, after a row, between rows)

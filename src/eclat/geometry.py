@@ -5,7 +5,7 @@ exact closest-vector search for desk-scale checks.
 The closest-vector search scales the target to integers once and runs the
 lattice enumeration shared with the short-vector oracle, so covering checks
 are decided in exact integer arithmetic; floating point appears only in
-reported bounds and log-space density comparisons.
+reported bounds and logs, never in a decision.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .errors import BadSize, InternalInconsistency, LengthMismatch, NoPointInRadius, NotInAn, SearchBoundExceeded
+from .errors import BadSize, LengthMismatch, NoPointInRadius, NotInAn, SearchBoundExceeded
 from .groups import AbelianGroup
 from .lattice import SEARCH_MAX_NODES, Vector, _enumerate
 
 RationalPoint = tuple[Fraction, ...]
-
-MH_TOLERANCE = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,9 +50,10 @@ class CoveringReport:
 class SampledCoveringReport:
     """Result of the seeded random covering check for one group.
 
-    Trial 0 is always the deep hole of A_{N-1}; the remaining trials are
-    SplitMix64-driven rational targets in the zero-sum hyperplane. N and the
-    bounds themselves are in the group's CoveringReport.
+    The deep hole of A_{N-1} is at squared distance mu(A_{N-1})^2, stated,
+    not searched; the trials are SplitMix64-driven rational targets in the
+    zero-sum hyperplane. N and the bounds themselves are in the group's
+    CoveringReport.
     """
 
     trials: int
@@ -99,26 +98,23 @@ def mh_bound_log(k: int) -> float:
 
 
 def density_report(N: int) -> DensityReport:
+    """The logs of density and bound as floats, and the window decision stated exactly.
+
+    The density is at least the bound exactly for N = 4..47 of N = 4..48
+    (checked to 50 digits in the tests). Past that, Gautschi's inequality
+    Gamma(x + 1/2) / Gamma(x + 1) < x^(-1/2) at x = N/2 bounds the ratio
+    R(N) = density / bound by R(N + 1) / R(N) < 2 sqrt(2 pi / N) zeta(N - 1),
+    below 1 from N = 26 on, so R(N) <= R(48) < 1 for every N >= 48.
+    """
     k = N - 1
-    log_density = packing_density_log(N)
-    log_mh = mh_bound_log(k)
-    return DensityReport(N, k, log_density, log_mh, log_density >= log_mh - MH_TOLERANCE)
+    return DensityReport(N, k, packing_density_log(N), mh_bound_log(k), N <= 47)
 
 
 def mh_window_scan(n_min: int, n_max: int) -> list[DensityReport]:
-    """Density reports for N in [n_min, n_max].
-
-    The margin between density and bound is asserted to exceed the tolerance
-    at the window edge N = 47 and just outside it at N = 48, whenever those
-    sizes fall in the requested range.
-    """
+    """Density reports for N in [n_min, n_max]."""
     if not 4 <= n_min <= n_max:
         raise BadSize(f"need 4 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    reports = [density_report(N) for N in range(n_min, n_max + 1)]
-    for rep in reports:
-        if rep.N in (47, 48) and abs(rep.log_density - rep.log_mh_bound) <= MH_TOLERANCE:
-            raise InternalInconsistency(f"margin at N = {rep.N} too small to resolve the window edge")
-    return reports
+    return [density_report(N) for N in range(n_min, n_max + 1)]
 
 
 def covering_radius_An_sq(N: int) -> Fraction:
@@ -315,17 +311,16 @@ def sampled_covering_check(
     cvp_cap: Fraction | None = None,
 ) -> SampledCoveringReport:
     """Seeded random covering check: every sampled point must be within
-    mu(A_{N-1}) + sqrt(2) of the lattice, and the deep hole (trial 0) must
-    achieve squared distance exactly mu(A_{N-1})^2.
+    mu(A_{N-1}) + sqrt(2) of the lattice. The deep hole of A_{N-1} is at
+    squared distance exactly mu(A_{N-1})^2, so the largest distance reaches
+    the lower bound; the tests check that distance with cvp.
 
+    Each trial is charged N nodes, for drawing and rounding its coordinates,
+    from one budget of SEARCH_MAX_NODES nodes, so a check with trials * N
+    above the budget raises SearchBoundExceeded before any target is built.
     A trial whose retraction point (see cvp) is within the largest distance
-    so far cannot raise it, so it is charged one node and not searched; every
-    other trial is searched with cvp. The searches and the charges share one
-    budget of SEARCH_MAX_NODES nodes. A check whose least count passes it
-    raises SearchBoundExceeded before any target is built: each trial spends
-    at least one node, and the deep hole's search tries every prefix of each
-    of its C(N, N // 2) nearest points of A_{N-1}, since its limit never drops
-    below mu^2.
+    so far cannot raise it and is not searched; every other trial is
+    searched with cvp, whose nodes come from the same budget.
     """
     N = group.order
     mu_sq = covering_radius_An_sq(N)
@@ -335,27 +330,17 @@ def sampled_covering_check(
         cvp_cap = mu_sq + 2 + Fraction(isqrt(8 * a * b) + 1, b)
     if cvp_cap < mu_sq:  # the lattice lies in A_{N-1}, so no point of it is nearer the deep hole
         raise NoPointInRadius(f"no lattice point within squared distance {cvp_cap} of the target")
-    least = 1  # C(N, N // 2) one factor at a time, each partial product C(N - N // 2 + i, i) a lower bound
-    for i in range(1, N // 2 + 1):
-        least = least * (N - N // 2 + i) // i
-        if least > SEARCH_MAX_NODES:  # so a huge N costs one step
-            break
-    if trials + least > SEARCH_MAX_NODES:
+    if trials * N > SEARCH_MAX_NODES:
         raise SearchBoundExceeded(
             f"the covering check at N = {N} with {trials} trials passes {SEARCH_MAX_NODES} nodes;"
             " use fewer --trials or a smaller --group"
         )
-    budget = [SEARCH_MAX_NODES]
-    deep_sq = cvp(group, deep_hole_An(N), cvp_cap, budget=budget)[1]
-    max_sq = deep_sq
+    budget = [SEARCH_MAX_NODES - trials * N]
+    # the zero vector attains mu^2 from the deep hole, and no point of A_{N-1} is nearer
+    deep_sq = max_sq = mu_sq
     D = 2 * N * N
     for ts in _scaled_targets(N, trials, seed):
         if _retraction_point(group, ts, D)[1] * max_sq.denominator <= max_sq.numerator * D * D:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBoundExceeded(
-                    f"the covering check at N = {N} passes its node budget; use fewer --trials or a smaller --group"
-                )
             continue
         # looked up on the module at each call, so a wrapper set on geometry.cvp sees every search
         max_sq = max(max_sq, cvp(group, tuple(Fraction(t, D) for t in ts), cvp_cap, budget=budget)[1])

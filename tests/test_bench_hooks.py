@@ -28,9 +28,9 @@ def test_span_recorder_installs_counts_and_restores():
     assert (lattice.Lattice.__dict__["svp_oracle"], geometry.cvp) == originals
     metrics = rec.metrics()
     assert metrics["cli.main.calls"] == 2
-    # the deep hole and the third trial: the first two trials' retraction points lie
-    # within the deep hole's distance, so they cannot raise the maximum and are not searched
-    assert metrics["geometry.cvp.calls"] == 2
+    # the third trial alone: the deep hole's distance is mu^2 without a search, and the
+    # first two trials' retraction points lie within it, so they cannot raise the maximum
+    assert metrics["geometry.cvp.calls"] == 1
     assert metrics["lattice.svp_oracle.count"] > 0
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,11 +146,13 @@ def test_covering_deterministic(capsys):
 
 
 def test_covering_large_group_certifies(capsys):
-    # no dimension cap: N = 16 and 20 are searched within the node budget
-    for spec in ("1x16", "1x20"):
+    # no dimension cap: each trial is charged N nodes, and the deep hole is not searched
+    for spec in ("1x16", "1x20", "1x21", "1x23", "1x24", "2x12", "1x1000"):
+        start = time.perf_counter()
         code, out = run(capsys, "covering", "--group", spec, "--json")
+        assert time.perf_counter() - start < 1, spec
         sampled = json.loads(out)["sampled"]
-        assert code == 0 and sampled["all_within_upper"] and sampled["max_reaches_lower"]
+        assert code == 0 and sampled["all_within_upper"] and sampled["max_reaches_lower"], spec
 
 
 def test_oracle(capsys):
@@ -235,7 +238,7 @@ def test_negative_integer_flags_are_usage_errors(capsys, argv):
     "argv",
     [(cmd, "--group", "1x1") for cmd in ("basis", "minvec", "verify", "covering", "oracle")]
     + [("oracle", "--group", "1x183")]
-    + [("covering", "--group", "1x24")],
+    + [("covering", "--group", "1x40001")],
 )
 def test_size_refusals_are_usage_errors(capsys, argv):
     code = main([*argv, "--json"])

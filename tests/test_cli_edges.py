@@ -5,10 +5,11 @@ cap and the values next to it, 40-digit integers and malformed specs. Every
 call must exit 0, 1 or 2 without a traceback. Sizes that take seconds by
 design are left out where noted: basis at BASIS_MAX_N and minvec at
 MINVEC_MAX_N print hundreds of MB, and covering at N <= 10 with 100000
-trials takes up to about 8 s. The node budget SEARCH_MAX_NODES is the only
-limit of the oracle and of a covering check, with no dimension cap; it does
-not bound the trials at small N, where a trial costs few nodes but real
-time, so COVERING_MAX_TRIALS stays.
+trials takes about 1.2 s at N = 2 and up to about 4 s at N = 10. The node
+budget SEARCH_MAX_NODES is the only limit of the oracle and of a covering
+check, with no dimension cap; at N nodes per trial it does not bound the
+trials at small N, where a trial costs few nodes but real time, so
+COVERING_MAX_TRIALS stays.
 """
 
 import contextlib
@@ -111,7 +112,7 @@ def test_minvec_edges(spec, fmt):
 def test_covering_edges(spec, trials, seed, cap, fmt):
     N = order_of(spec)
     if trials == str(COVERING_MAX_TRIALS) and N is not None and 1 <= N <= 10:
-        trials = "2"  # the largest run takes up to about 8 s by design
+        trials = "2"  # the largest run takes up to about 4 s by design
     argv = ["covering", "--group", spec, "--trials", trials, "--seed", seed, *fmt]
     check_edge_call(argv if cap is None else [*argv, "--cvp-cap", cap])
 

@@ -67,6 +67,34 @@ def test_mh_window():
         mh_window_scan(3, 10)
 
 
+def log_density_over_bound(N):
+    """log R(N), density over the Minkowski-Hlawka bound, at the working precision of mpmath."""
+    import mpmath
+
+    k = N - 1
+    log_density = k * mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(mpmath.mpf(k) / 2 + 1) - 3 * mpmath.log(N) / 2
+    return log_density - mpmath.log(mpmath.zeta(k)) + (k - 1) * mpmath.log(2)
+
+
+def test_mh_window_matches_mpmath_at_50_digits():
+    import mpmath
+
+    with mpmath.workdps(50):
+        for N in range(4, 301):
+            assert density_report(N).satisfies_mh == (log_density_over_bound(N) >= 0), N
+
+
+def test_mh_ratio_decreases_from_26_as_gautschi_bounds_it():
+    # R(N + 1) / R(N) < 2 sqrt(2 pi / N) zeta(N - 1) < 1, so R(48) < 1 decides every N >= 48
+    import mpmath
+
+    with mpmath.workdps(50):
+        logs = {N: log_density_over_bound(N) for N in range(26, 2002)}
+        for N in range(26, 2001):
+            gautschi = mpmath.log(2 * mpmath.sqrt(2 * mpmath.pi / N) * mpmath.zeta(N - 1))
+            assert logs[N + 1] - logs[N] < gautschi < 0, N
+
+
 def test_density_report_fields():
     rep = density_report(10)
     assert rep.N == 10 and rep.k == 9
@@ -249,12 +277,12 @@ def test_deep_hole_search_spends_at_least_the_central_binomial(N):
 @pytest.mark.parametrize(
     "shape,trials,cap,error",
     [
-        ((1, 24), 1, None, SearchBoundExceeded),  # C(24, 12) passes the budget before any search
+        ((1, SEARCH_MAX_NODES + 1), 1, None, SearchBoundExceeded),  # one trial's coordinates pass the budget
         ((1, 10**39), 50, None, SearchBoundExceeded),
-        ((1, 20), SEARCH_MAX_NODES, None, SearchBoundExceeded),  # one node per trial at least
+        ((1, 20), SEARCH_MAX_NODES, None, SearchBoundExceeded),  # N nodes per trial
         ((1, 40), 50, Fraction(9), NoPointInRadius),  # below mu^2 = 10, refused before the count
-        ((1, 22), 1, None, SearchBoundExceeded),  # the deep hole alone spends 3(2^21 - 1) nodes
-        ((1, 21), 1, None, SearchBoundExceeded),  # C(21, 10) passes the up-front count, the deep hole's search does not
+        ((1, 40001), 50, None, SearchBoundExceeded),  # 50 * 40001 passes 2000000 by 50
+        ((2, 20001), 50, None, SearchBoundExceeded),  # the count takes the group's order, not its cyclic factor
     ],
 )
 def test_sampled_covering_refusals(shape, trials, cap, error):
@@ -264,17 +292,24 @@ def test_sampled_covering_refusals(shape, trials, cap, error):
     assert time.perf_counter() - start < 5
 
 
-def test_sampled_covering_charges_one_node_per_trial_it_does_not_search(monkeypatch):
-    # at 1x4 and seed 1 the first two trials have retraction points within the deep hole's distance 1
+def test_sampled_covering_charges_n_nodes_per_trial_and_the_searches_on_top(monkeypatch):
+    # at 1x4 and seed 1 the first two trials have retraction points within the deep hole's distance 1,
+    # and the third is searched
     g = AbelianGroup(1, 4)
-    budget = [SEARCH_MAX_NODES]
-    cvp(g, deep_hole_An(4), Fraction(4), budget=budget)
-    deep_nodes = SEARCH_MAX_NODES - budget[0]
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", deep_nodes + 2)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 4)
     assert sampled_covering_check(g, 2, 1).max_distance_sq == 1
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", deep_nodes + 1)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 4 - 1)
     with pytest.raises(SearchBoundExceeded):
         sampled_covering_check(g, 2, 1)
+    budget = [SEARCH_MAX_NODES]
+    third = list(sample_targets(4, 3, 1))[2]
+    expected = max(Fraction(1), cvp(g, third, Fraction(9), budget=budget)[1])
+    search_nodes = SEARCH_MAX_NODES - budget[0]
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 4 + search_nodes)
+    assert sampled_covering_check(g, 3, 1).max_distance_sq == expected
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 4 + search_nodes - 1)
+    with pytest.raises(SearchBoundExceeded):
+        sampled_covering_check(g, 3, 1)
 
 
 @pytest.mark.parametrize("N", range(2, 11))
