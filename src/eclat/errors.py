@@ -25,10 +25,6 @@ class SearchBoundExceeded(EclatError):
     """A lattice search refused: it would pass its node budget or the recursion limit."""
 
 
-class NoPointInRadius(EclatError):
-    """No lattice point inside the requested search radius."""
-
-
 class CurveTooLarge(EclatError):
     """Curve prime exceeds the point-enumeration bound."""
 

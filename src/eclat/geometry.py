@@ -16,9 +16,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
-from .errors import BadSize, LengthMismatch, NoPointInRadius, NotInAn, SearchBoundExceeded
+from .errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
 from .groups import AbelianGroup
 from .lattice import SEARCH_MAX_NODES, Vector, _enumerate
 
@@ -54,6 +54,12 @@ class SampledCoveringReport:
     not searched; the trials are SplitMix64-driven rational targets in the
     zero-sum hyperplane. N and the bounds themselves are in the group's
     CoveringReport.
+
+    deep_hole_distance_sq always equals mu(A_{N-1})^2 and max_reaches_lower
+    is always true, since the largest distance starts there. Both stay
+    because the printed report carries them: perfbench/checks.py checks
+    them, the README states them, and dropping them would change the
+    report's bytes.
     """
 
     trials: int
@@ -191,20 +197,18 @@ def _retraction_point(group: AbelianGroup, ts: list[int], D: int) -> tuple[Vecto
     return tuple(x), sum(c * c for c in r)
 
 
-def cvp(
-    group: AbelianGroup, target: RationalPoint, radius_sq_cap: Fraction, *, budget: list[int] | None = None
-) -> tuple[Vector, Fraction]:
-    """Exact closest lattice vector to the target within the given squared radius.
+def cvp(group: AbelianGroup, target: RationalPoint, *, budget: list[int] | None = None) -> tuple[Vector, Fraction]:
+    """Exact closest lattice vector to the target, and its squared distance.
 
     The shared lattice enumeration around the target, with the radius
-    shrinking to the best cost found so far. It starts from the smallest of
-    the cap, the cost of the zero vector and the cost of the lattice vector
-    the paper's retraction gives (the nearest point of A_{N-1} plus one step),
-    so the search grows neither with a generous cap nor with the target's
-    distance from the origin. Every vector within that start is visited, so
-    ties are still broken toward the lexicographically smallest coordinate
-    vector. Entries other than int and Fraction are converted exactly with
-    Fraction(). Raises NoPointInRadius if the cap is too small.
+    shrinking to the best cost found so far. It starts from the smaller of
+    the cost of the zero vector and the cost of the lattice vector the
+    paper's retraction gives (the nearest point of A_{N-1} plus one step),
+    so a lattice vector always lies within the start and the search does
+    not grow with the target's distance from the origin. Every vector
+    within that start is visited, so ties are broken toward the
+    lexicographically smallest coordinate vector. Entries other than int
+    and Fraction are converted exactly with Fraction().
 
     budget is a one-item list of the nodes left, which calls can share; a
     call without one gets SEARCH_MAX_NODES. A search past its budget, or one
@@ -221,9 +225,6 @@ def cvp(
     ts = [x.numerator * (D // x.denominator) for x in target]
     if sum(ts) != 0:
         raise NotInAn("target must lie in the zero-sum hyperplane")
-    cap = Fraction(radius_sq_cap)
-    DD = D * D
-    cap_scaled = (cap.numerator * DD) // cap.denominator  # floor; costs are integers
     best: tuple[int, Vector] | None = None
 
     def visit(cost: int, vec: Vector) -> int:
@@ -235,13 +236,11 @@ def cvp(
     if budget is None:
         budget = [SEARCH_MAX_NODES]
     # the zero vector and the retraction point lie in the lattice, so their costs bound the minimum
-    limit = min(cap_scaled, sum(x * x for x in ts), _retraction_point(group, ts, D)[1])
+    limit = min(sum(x * x for x in ts), _retraction_point(group, ts, D)[1])
     budget[0] = _enumerate(group, ts, D, limit, visit, budget[0])
     if budget[0] < 0:
         raise SearchBoundExceeded(f"the search at N = {N} passes its node budget; use fewer --trials or a smaller --group")
-    if best is None:
-        raise NoPointInRadius(f"no lattice point within squared distance {cap} of the target")
-    return best[1], Fraction(best[0], DD)
+    return best[1], Fraction(best[0], D * D)
 
 
 def covering_bounds(N: int, *, cyclic: bool = False) -> CoveringReport:
@@ -303,13 +302,7 @@ def within_upper_bound(dist_sq: Fraction, mu_sq: Fraction) -> bool:
     return e <= 0 or e * e <= 8 * mu_sq
 
 
-def sampled_covering_check(
-    group: AbelianGroup,
-    trials: int,
-    seed: int,
-    *,
-    cvp_cap: Fraction | None = None,
-) -> SampledCoveringReport:
+def sampled_covering_check(group: AbelianGroup, trials: int, seed: int) -> SampledCoveringReport:
     """Seeded random covering check: every sampled point must be within
     mu(A_{N-1}) + sqrt(2) of the lattice. The deep hole of A_{N-1} is at
     squared distance exactly mu(A_{N-1})^2, so the largest distance reaches
@@ -319,17 +312,13 @@ def sampled_covering_check(
     from one budget of SEARCH_MAX_NODES nodes, so a check with trials * N
     above the budget raises SearchBoundExceeded before any target is built.
     A trial whose retraction point (see cvp) is within the largest distance
-    so far cannot raise it and is not searched; every other trial is
-    searched with cvp, whose nodes come from the same budget.
+    so far cannot raise it and is not searched. Every other trial is
+    searched with cvp, which returns the exact closest lattice vector; it
+    starts from the smaller of the zero vector's cost and the retraction
+    point's cost, and its nodes come from the same budget.
     """
     N = group.order
     mu_sq = covering_radius_An_sq(N)
-    if cvp_cap is None:
-        # (mu + sqrt 2)^2 = mu^2 + 2 + sqrt(8ab)/b for mu^2 = a/b, rounded up
-        a, b = mu_sq.numerator, mu_sq.denominator
-        cvp_cap = mu_sq + 2 + Fraction(isqrt(8 * a * b) + 1, b)
-    if cvp_cap < mu_sq:  # the lattice lies in A_{N-1}, so no point of it is nearer the deep hole
-        raise NoPointInRadius(f"no lattice point within squared distance {cvp_cap} of the target")
     if trials * N > SEARCH_MAX_NODES:
         raise SearchBoundExceeded(
             f"the covering check at N = {N} with {trials} trials passes {SEARCH_MAX_NODES} nodes;"
@@ -343,7 +332,7 @@ def sampled_covering_check(
         if _retraction_point(group, ts, D)[1] * max_sq.denominator <= max_sq.numerator * D * D:
             continue
         # looked up on the module at each call, so a wrapper set on geometry.cvp sees every search
-        max_sq = max(max_sq, cvp(group, tuple(Fraction(t, D) for t in ts), cvp_cap, budget=budget)[1])
+        max_sq = max(max_sq, cvp(group, tuple(Fraction(t, D) for t in ts), budget=budget)[1])
     return SampledCoveringReport(
         trials=trials,
         seed=seed,

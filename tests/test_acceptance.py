@@ -110,7 +110,7 @@ def test_criterion_6_covering_bounds():
         # the check states the deep hole's distance as mu^2; the exact search confirms it
         for g in all_canonical_groups(2, 18):
             mu_sq = covering_radius_An_sq(g.order)
-            assert cvp(g, deep_hole_An(g.order), mu_sq)[1] == mu_sq, g.spec()
+            assert cvp(g, deep_hole_An(g.order))[1] == mu_sq, g.spec()
         for g in all_canonical_groups(10, 64):
             rep = sampled_covering_check(g, 50, SEED)
             assert rep.all_within_upper and rep.max_reaches_lower, g.spec()

@@ -200,10 +200,7 @@ def test_density_range_error_is_the_library_message(capsys):
     assert capsys.readouterr() == ("", "error: need 4 <= n_min <= n_max, got [5, 4]\n")
 
 
-@pytest.mark.parametrize(
-    "flag,value",
-    [("--cvp-cap", "inf"), ("--cvp-cap", "1e400"), ("--cvp-cap", "0"), ("--cvp-cap", "1/0"), ("--trials", "-3")],
-)
+@pytest.mark.parametrize("flag,value", [("--trials", "-3")])
 def test_covering_rejects_bad_values(capsys, flag, value):
     code = main(["covering", "--group", "1x5", "--trials", "2", flag, value, "--json"])
     captured = capsys.readouterr()
@@ -212,10 +209,22 @@ def test_covering_rejects_bad_values(capsys, flag, value):
     assert "error" in captured.err and flag in captured.err
 
 
-def test_covering_generous_cap_matches_default(capsys):
-    # the search starts no wider than the zero vector's distance, whatever the cap
-    argv = ("covering", "--group", "1x10", "--trials", "2", "--json")
-    assert run(capsys, *argv) == run(capsys, *argv, "--cvp-cap", "1e12")
+def test_covering_has_no_radius_cap(capsys):
+    # the search always finds the closest vector, so there is no cap to set
+    code = main(["covering", "--group", "1x5", "--trials", "2", "--cvp-cap", "35/6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_covering_plain_text_prints_sampled_fields(capsys):
+    code, out = run(capsys, "covering", "--group", "1x5", "--trials", "3")
+    assert code == 0
+    assert "Fraction(" not in out
+    assert "mu_A_sq: 6/5\n" in out
+    assert "sampled.max_distance_sq: 403/250\n" in out
+    assert "sampled.all_within_upper: True\n" in out
 
 
 @pytest.mark.parametrize(

@@ -105,16 +105,14 @@ def test_minvec_edges(spec, fmt):
     groups(*SMALL, 10**200, 10**400),
     ints(0, 1, -1, 2, COVERING_MAX_TRIALS, COVERING_MAX_TRIALS + 1, BIG),
     ints(0, -1, 2**64, BIG),
-    st.sampled_from([None, "0", "1", "-1", "1/0", "inf", "nan", "1e400", "35/6", str(BIG), "abc"]),
     FORMATS,
 )
 @EDGE_SETTINGS
-def test_covering_edges(spec, trials, seed, cap, fmt):
+def test_covering_edges(spec, trials, seed, fmt):
     N = order_of(spec)
     if trials == str(COVERING_MAX_TRIALS) and N is not None and 1 <= N <= 10:
         trials = "2"  # the largest run takes up to about 4 s by design
-    argv = ["covering", "--group", spec, "--trials", trials, "--seed", seed, *fmt]
-    check_edge_call(argv if cap is None else [*argv, "--cvp-cap", cap])
+    check_edge_call(["covering", "--group", spec, "--trials", trials, "--seed", seed, *fmt])
 
 
 @given(
