@@ -9,8 +9,9 @@ check past lattice.SEARCH_MAX_NODES nodes, the one limit of both searches;
 covering --trials above COVERING_MAX_TRIALS, since a trial at small N costs
 few nodes but real time, and a group whose covering bounds leave the float
 range; basis and verify above BASIS_MAX_N; minvec above MINVEC_MAX_N;
-density --to above DENSITY_MAX_N; --max-p above curves.MAX_P_CAP; and a
-curve prime above --max-p, checked before the prime is tested.
+density --to above DENSITY_MAX_N; and a curve prime above curves.MAX_P,
+checked before the prime is tested. curve certifies the basis only up to
+N = CURVE_BASIS_MAX_N and reports the structure and bounds alone above it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -42,6 +42,8 @@ DENSITY_MAX_N = 100_000
 # about 12 us at 1x2 and 35 us at 1x10, so the 10^6 trials that 2000000 nodes admit at N = 2 would
 # take about 12 s. The cap keeps a run to about 4 s
 COVERING_MAX_TRIALS = 100_000
+# curve builds and certifies the basis only up to this order; perfbench/checks.py expects exactly this bound
+CURVE_BASIS_MAX_N = 300
 
 # vector rows: (before a row, between entries, after a row, between rows)
 _JSON_ROWS = ("[", ", ", "]", ", ")
@@ -112,13 +114,21 @@ def _emit_vectors(args, fields: dict, title: str, supports, N: int) -> None:
 
 
 def _group_arg(spec: str) -> AbelianGroup:
-    m, n = parse_group_spec(spec)
+    try:
+        m, n = parse_group_spec(spec)
+    except ValueError as exc:  # argparse would print this function's name in place of the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return make_group(m, n)
 
 
 def _curve_arg(spec: str) -> tuple[int, int, int]:
-    # only parsed here: cmd_curve checks p against --max-p before Curve's primality test
-    p, a, b = (int(x) for x in spec.split(","))
+    # only parsed here: cmd_curve checks p against curves.MAX_P before Curve's primality test
+    try:
+        p, a, b = (int(x) for x in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid curve spec {spec!r}; expected p,a,b with integers p, a and b, e.g. 13,2,2"
+        ) from None
     return p, a, b
 
 
@@ -138,20 +148,7 @@ def _int_in(low: int, high: int | None, kind: str):
     return parse
 
 
-_prime_bound = _int_in(1, curves.MAX_P_CAP, f"a positive integer at most {curves.MAX_P_CAP}")
 _nonnegative_int = _int_in(0, None, "a non-negative integer")
-
-
-def _max_p(args) -> int:
-    if args.max_p is not None:
-        return args.max_p
-    env = os.environ.get("EC_LATTICE_MAX_P")
-    if not env:
-        return curves.DEFAULT_MAX_P
-    try:
-        return _prime_bound(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"EC_LATTICE_MAX_P: {exc}") from None
 
 
 def _refuse_above(g: AbelianGroup, cap: int, command: str, why: str) -> None:
@@ -241,7 +238,7 @@ def cmd_density(args) -> int:
 
 def cmd_covering(args) -> int:
     g = args.group
-    payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g.order, cyclic=g.is_cyclic))}
+    payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g))}
     sampled = None
     if args.trials > 0:
         sampled = geometry.sampled_covering_check(g, args.trials, args.seed)
@@ -271,12 +268,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_curve(args) -> int:
     p, a, b = args.curve
-    max_p = _max_p(args)
-    curves.check_prime_bound(p, max_p)
+    curves.check_prime_bound(p)
     curve = curves.Curve(p, a, b)
-    cg = curves.curve_group(curve, max_p)
+    cg = curves.curve_group(curve)
     g = cg.structure
-    bounds = geometry.covering_bounds(g.order, cyclic=g.is_cyclic)
+    bounds = geometry.covering_bounds(g)
     n1, n2 = g.m, g.n
     payload = {
         "p": curve.p,
@@ -295,16 +291,13 @@ def cmd_curve(args) -> int:
         "covering_upper": bounds.upper_new,
     }
     result = None
-    if g.order <= args.max_basis_n:
+    if g.order <= CURVE_BASIS_MAX_N:
         result = basis_mod.build_minimal_basis(g)
         payload["basis_kind"] = result.kind
         payload["basis_certified"] = result.certified
         payload["gram_det_sq"] = result.report.gram_det_sq
     else:
-        print(
-            f"N = {g.order} exceeds --max-basis-n = {args.max_basis_n}; skipping basis certification",
-            file=sys.stderr,
-        )
+        print(f"N = {g.order} exceeds {CURVE_BASIS_MAX_N}; skipping basis certification", file=sys.stderr)
     _emit(args, payload)
     return 0 if result is None or result.accepted else 1
 
@@ -358,15 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="curve -> group -> lattice pipeline")
     p.add_argument("--curve", type=_curve_arg, required=True, metavar="p,a,b")
-    p.add_argument(
-        "--max-p", type=_prime_bound, default=None, help="prime bound (default env EC_LATTICE_MAX_P or 10000)"
-    )
-    p.add_argument(
-        "--max-basis-n",
-        type=_nonnegative_int,
-        default=300,
-        help="largest group order for which the basis is built and certified",
-    )
     add_format(p)
     p.set_defaults(func=cmd_curve)
 

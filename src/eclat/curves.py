@@ -27,9 +27,8 @@ from .groups import AbelianGroup, GroupElement
 # Affine point (x, y); None is the point at infinity.
 CurvePoint = tuple[int, int] | None
 
-DEFAULT_MAX_P = 10_000
-# the largest prime bound the CLI accepts: enumerating p = 99991 takes about 1 s and 66 MB
-MAX_P_CAP = 100_000
+# the point-enumeration bound: the curve pipeline at p = 99991 takes about 1 s and 66 MB
+MAX_P = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,14 @@ class Curve:
                 addend = self.add(addend, addend)
         return result
 
-    def points(self, max_p: int = DEFAULT_MAX_P) -> list[CurvePoint]:
+    def points(self) -> list[CurvePoint]:
         """All rational points, infinity first then affine points sorted.
 
-        Raises CurveTooLarge when p exceeds max_p; the point count is checked
+        Raises CurveTooLarge when p exceeds MAX_P; the point count is checked
         against the Hasse bound |N - p - 1| <= 2*sqrt(p).
         """
         p = self.p
-        check_prime_bound(p, max_p)
+        check_prime_bound(p)
         roots: dict[int, list[int]] = {}
         for y in range(p):
             roots.setdefault(y * y % p, []).append(y)
@@ -119,10 +118,10 @@ class Curve:
         return pts
 
 
-def check_prime_bound(p: int, max_p: int) -> None:
-    """Raise CurveTooLarge when p exceeds the point-enumeration bound max_p."""
-    if p > max_p:
-        raise CurveTooLarge(f"p = {p} exceeds the enumeration bound {max_p}")
+def check_prime_bound(p: int) -> None:
+    """Raise CurveTooLarge when p exceeds the point-enumeration bound MAX_P."""
+    if p > MAX_P:
+        raise CurveTooLarge(f"p = {p} exceeds the enumeration bound {MAX_P}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +236,9 @@ def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     return CurveGroup(curve, AbelianGroup(n1, n2), tuple(indexed), (g1, g2), labels)
 
 
-def curve_group(curve: Curve, max_p: int = DEFAULT_MAX_P) -> CurveGroup:
+def curve_group(curve: Curve) -> CurveGroup:
     """Full rational-point group of the curve with its structure."""
-    return group_structure(curve.points(max_p), curve)
+    return group_structure(curve.points(), curve)
 
 
 def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:

@@ -20,7 +20,7 @@ from math import lcm
 
 from .errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
 from .groups import AbelianGroup
-from .lattice import SEARCH_MAX_NODES, Vector, _enumerate
+from .lattice import SEARCH_MAX_NODES, Lattice, Vector, _enumerate
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -215,6 +215,7 @@ def cvp(group: AbelianGroup, target: RationalPoint, *, budget: list[int] | None 
     that recurses (a frame per coordinate) past half the interpreter's
     recursion limit, raises SearchBoundExceeded.
     """
+    Lattice(group)  # refuses a group of order 1
     N = group.order
     if 2 * N > sys.getrecursionlimit():
         raise SearchBoundExceeded(f"the closest-vector search at N = {N} recurses too deep; use a smaller --group")
@@ -243,13 +244,15 @@ def cvp(group: AbelianGroup, target: RationalPoint, *, budget: list[int] | None 
     return best[1], Fraction(best[0], D * D)
 
 
-def covering_bounds(N: int, *, cyclic: bool = False) -> CoveringReport:
+def covering_bounds(group: AbelianGroup) -> CoveringReport:
     """Covering-radius bounds: mu(A_{N-1}) <= mu(L) <= mu(A_{N-1}) + sqrt(2).
 
-    upper_old is the earlier bound (sqrt(N^2 + 4N + 8) + sqrt(N)) / 2; the
-    comparator bound sqrt(N + 4 log(N-2) + 6 - 4 log 2 + 10/(N-1)) / 2 is
-    reported for cyclic groups of order N >= 3 only.
+    L is the group's lattice and N its order. upper_old is the earlier bound
+    (sqrt(N^2 + 4N + 8) + sqrt(N)) / 2; the comparator bound
+    sqrt(N + 4 log(N-2) + 6 - 4 log 2 + 10/(N-1)) / 2 is reported for cyclic
+    groups of order N >= 3 only.
     """
+    N = group.order
     if N * N + 4 * N + 8 > sys.float_info.max:  # the largest value converted to a float
         raise BadSize(f"--group of order {N}: the covering bounds leave the float range")
     mu_sq = covering_radius_An_sq(N)
@@ -257,7 +260,7 @@ def covering_bounds(N: int, *, cyclic: bool = False) -> CoveringReport:
     upper_new = lower + math.sqrt(2.0)
     upper_old = 0.5 * (math.sqrt(N * N + 4 * N + 8) + math.sqrt(N))
     boettcher = None
-    if cyclic and N >= 3:
+    if group.is_cyclic and N >= 3:
         boettcher = 0.5 * math.sqrt(N + 4 * math.log(N - 2) + 6 - 4 * math.log(2) + 10 / (N - 1))
     return CoveringReport(N, mu_sq, lower, upper_new, upper_old, boettcher)
 
@@ -319,6 +322,8 @@ def sampled_covering_check(group: AbelianGroup, trials: int, seed: int) -> Sampl
     """
     N = group.order
     mu_sq = covering_radius_An_sq(N)
+    if trials < 0:
+        raise BadSize(f"the covering check needs a non-negative number of trials, got {trials}")
     if trials * N > SEARCH_MAX_NODES:
         raise SearchBoundExceeded(
             f"the covering check at N = {N} with {trials} trials passes {SEARCH_MAX_NODES} nodes;"

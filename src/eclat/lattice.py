@@ -175,14 +175,15 @@ def _enumerate(
 ) -> int:
     """Visit every lattice vector x with cost sum((D*x_i - ts_i)^2) <= limit.
 
-    The target is ts / D. The search is depth first over the coordinates in
-    index order; the zero-sum constraint fixes the last coordinate and
-    membership is tested there. visit(cost, x) is called at each lattice
-    vector within the limit and returns the limit to continue with. The
-    search spends at most `nodes` nodes: each call counts itself and, before
-    its loop, every candidate within the limit there, leaves included. It
-    returns the nodes left, so one budget can span several searches; a
-    negative count means the budget ran out before the search finished.
+    The target is ts / D, and the group has order at least 2, as Lattice
+    requires. The search is depth first over the coordinates in index order;
+    the zero-sum constraint fixes the last coordinate and membership is tested
+    there. visit(cost, x) is called at each lattice vector within the limit and
+    returns the limit to continue with. The search spends at most `nodes`
+    nodes: each call counts itself and, before its loop, every candidate within
+    the limit there, leaves included. It returns the nodes left, so one budget
+    can span several searches; a negative count means the budget ran out before
+    the search finished.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
@@ -195,10 +196,6 @@ def _enumerate(
         return nodes
     N, m, n = group.order, group.m, group.n
     last = N - 1
-    if last == 0:  # the zero vector is the only zero-sum vector
-        if ts[0] ** 2 <= limit:
-            visit(ts[0] ** 2, (0,))
-        return nodes - 1
     r = isqrt(limit)
     cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
     base, near, slope = [0] * N, [0] * N, [0] * N

@@ -99,7 +99,7 @@ def test_criterion_5_minkowski_hlawka_window():
 def test_criterion_6_covering_bounds():
     with criterion(6, "covering bounds and seeded CVP check"):
         for N in range(2, 101):
-            rep = covering_bounds(N)
+            rep = covering_bounds(AbelianGroup(1, N))
             assert rep.lower <= rep.upper_new, N
             assert rep.upper_new < rep.upper_old - 1e-12, N
         for g in all_canonical_groups(2, 9):

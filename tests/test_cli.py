@@ -231,7 +231,6 @@ def test_covering_plain_text_prints_sampled_fields(capsys):
     "argv",
     [
         ("oracle", "--group", "1x5", "--oracle-bound", "-3"),
-        ("curve", "--curve", "13,2,2", "--max-basis-n", "-3"),
     ],
 )
 def test_negative_integer_flags_are_usage_errors(capsys, argv):
@@ -284,33 +283,31 @@ def test_size_caps_admit_their_limit(capsys):
     assert args.trials == COVERING_MAX_TRIALS
 
 
-def test_curve_prime_bound(capsys, monkeypatch):
-    monkeypatch.delenv("EC_LATTICE_MAX_P", raising=False)
-    assert run(capsys, "curve", "--curve", "101,2,3", "--max-p", "50")[0] == 2
-    assert run(capsys, "curve", "--curve", "101,2,3", "--max-p", "200", "--json")[0] == 0
+@pytest.mark.parametrize("flag,value", [("--max-p", "200"), ("--max-basis-n", "4")])
+def test_curve_has_no_size_flags(capsys, flag, value):
+    # the prime bound and the basis bound are constants
+    code = main(["curve", "--curve", "13,2,2", flag, value, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_curve_ignores_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("EC_LATTICE_MAX_P", "50")
-    assert run(capsys, "curve", "--curve", "101,2,3")[0] == 2
-    monkeypatch.setenv("EC_LATTICE_MAX_P", "200")
     code, out = run(capsys, "curve", "--curve", "101,2,3", "--json")
     assert code == 0
     assert json.loads(out)["p"] == 101
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-@pytest.mark.parametrize("source", ["--max-p", "EC_LATTICE_MAX_P"])
-def test_curve_rejects_bad_prime_bound(capsys, monkeypatch, source, value):
-    argv = ["curve", "--curve", "101,2,3", "--json"]
-    if source == "--max-p":
-        monkeypatch.delenv("EC_LATTICE_MAX_P", raising=False)
-        argv += ["--max-p", value]
-    else:
-        monkeypatch.setenv("EC_LATTICE_MAX_P", value)
-    code = main(argv)
+def test_curve_admits_the_largest_prime_below_the_bound(capsys):
+    code = main(["curve", "--curve", "99991,2,3", "--json"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert source in captured.err and "positive integer" in captured.err
-    assert "Traceback" not in captured.err
+    assert code == 0
+    payload = json.loads(captured.out)
+    assert (payload["p"], payload["N"]) == (99991, 99776)
+    assert payload["basis_kind"] is None and payload["basis_certified"] is None and payload["gram_det_sq"] is None
+    assert captured.err == "N = 99776 exceeds 300; skipping basis certification\n"
 
 
 def test_entry_point_subprocess():
@@ -325,7 +322,7 @@ def test_entry_point_subprocess():
 
 def test_curve_basis_cap(capsys):
     # above the cap the pipeline still reports structure and bounds
-    code, out = run(capsys, "curve", "--curve", "13,2,2", "--max-basis-n", "4", "--json")
+    code, out = run(capsys, "curve", "--curve", "401,1,1", "--json")  # 432 points
     assert code == 0
     payload = json.loads(out)
     assert payload["basis_kind"] is None and payload["basis_certified"] is None

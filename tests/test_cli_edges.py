@@ -1,31 +1,28 @@
 """Argument edges of every subcommand, and the refusals that keep each one fast.
 
 The edge tests draw each flag from its edges: 0, 1, negative values, each
-cap and the values next to it, 40-digit integers and malformed specs. Every
-call must exit 0, 1 or 2 without a traceback. Sizes that take seconds by
-design are left out where noted: basis at BASIS_MAX_N and minvec at
-MINVEC_MAX_N print hundreds of MB, and covering at N <= 10 with 100000
-trials takes about 1.2 s at N = 2 and up to about 4 s at N = 10. The node
-budget SEARCH_MAX_NODES is the only limit of the oracle and of a covering
-check, with no dimension cap; at N nodes per trial it does not bound the
-trials at small N, where a trial costs few nodes but real time, so
-COVERING_MAX_TRIALS stays.
+cap and the values next to it, 40-digit integers and malformed specs; curve
+primes run up to the prime just above curves.MAX_P. Every call must exit 0,
+1 or 2 without a traceback. Sizes that take seconds by design are left out
+where noted: basis at BASIS_MAX_N and minvec at MINVEC_MAX_N print hundreds
+of MB, and covering at N <= 10 with 100000 trials takes about 1.2 s at
+N = 2 and up to about 4 s at N = 10. The node budget SEARCH_MAX_NODES is the
+only limit of the oracle and of a covering check, with no dimension cap; at
+N nodes per trial it does not bound the trials at small N, where a trial
+costs few nodes but real time, so COVERING_MAX_TRIALS stays.
 """
 
 import contextlib
 import io
-import os
 import subprocess
 import sys
 import time
 from math import isqrt
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eclat.cli import BASIS_MAX_N, COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, main
-from eclat.curves import MAX_P_CAP
 from eclat.errors import BadSize, SearchBoundExceeded
 from eclat.groups import AbelianGroup
 from eclat.lattice import SEARCH_MAX_NODES, Lattice, _enumerate
@@ -38,8 +35,7 @@ EDGE_SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[
 
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ):
-        os.environ.pop("EC_LATTICE_MAX_P", None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
@@ -136,7 +132,7 @@ def test_density_edges(start, stop, fmt):
     check_edge_call(["density", "--from", start, "--to", stop, *fmt])
 
 
-CURVE_PRIMES = [-1, 0, 1, 2, 3, 4, 5, 7, 13, 9973, 10007, BIG]
+CURVE_PRIMES = [-1, 0, 1, 2, 3, 4, 5, 7, 13, 9973, 10007, 100003, BIG]
 
 
 @given(
@@ -149,16 +145,11 @@ CURVE_PRIMES = [-1, 0, 1, 2, 3, 4, 5, 7, 13, 9973, 10007, BIG]
         ),
         st.sampled_from(["", "7", "7,1", "7,1,1,1", "a,b,c", "7,,1", "1e3,1,1"]),
     ),
-    st.sampled_from([None, "0", "1", "-1", "4", "13", "10007", str(MAX_P_CAP), str(MAX_P_CAP + 1), str(BIG), "abc"]),
-    st.sampled_from([None, "0", "1", "-1", str(BIG), "abc"]),
     st.sampled_from([(), ("--json",)]),
 )
 @EDGE_SETTINGS
-def test_curve_edges(spec, max_p, max_basis_n, fmt):
-    argv = ["curve", "--curve", spec, *fmt]
-    argv += [] if max_p is None else ["--max-p", max_p]
-    argv += [] if max_basis_n is None else ["--max-basis-n", max_basis_n]
-    check_edge_call(argv)
+def test_curve_edges(spec, fmt):
+    check_edge_call(["curve", "--curve", spec, *fmt])
 
 
 def test_lattice_refuses_order_one():
@@ -167,20 +158,16 @@ def test_lattice_refuses_order_one():
 
 
 def run_cli(*argv, timeout=20):
-    env = dict(os.environ)
-    env.pop("EC_LATTICE_MAX_P", None)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "eclat.cli", *argv], capture_output=True, text=True, timeout=timeout, env=env
-    )
+    proc = subprocess.run([sys.executable, "-m", "eclat.cli", *argv], capture_output=True, text=True, timeout=timeout)
     return proc, time.perf_counter() - start
 
 
 def test_curve_huge_prime_is_refused_before_the_primality_test():
-    # trial division of this prime does not finish; the --max-p bound is checked first
+    # trial division of this prime does not finish; the bound curves.MAX_P is checked first
     proc, elapsed = run_cli("curve", "--curve", "1000000000000000000000000000057,1,1", "--json")
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: p = 1000000000000000000000000000057 exceeds the enumeration bound 10000\n"
+    assert proc.stderr == "error: p = 1000000000000000000000000000057 exceeds the enumeration bound 100000\n"
     assert elapsed < 5
 
 
@@ -192,9 +179,26 @@ def test_curve_huge_prime_is_refused_before_the_primality_test():
     ],
 )
 def test_curve_errors_carry_the_library_message(spec, message):
-    # these are refused in cmd_curve, not by argparse as "invalid _curve_arg value"
+    # these are refused in cmd_curve, after the spec is parsed
     code, out, err = call(["curve", "--curve", spec])
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["group", "--group", "abc"], "invalid group spec 'abc'; expected the form MxN, e.g. 3x6"),
+        (["verify", "--group", "0x5"], "group spec must have positive factors, got '0x5'"),
+        (["curve", "--curve", "7,a,1"], "invalid curve spec '7,a,1'; expected p,a,b with integers p, a and b"),
+        (["curve", "--curve", "7,1"], "invalid curve spec '7,1'; expected p,a,b with integers p, a and b"),
+    ],
+    ids=["group-letters", "group-zero", "curve-letter", "curve-short"],
+)
+def test_malformed_specs_carry_the_library_message(argv, message):
+    code, out, err = call(argv)
+    assert code == 2 and out == ""
+    assert message in err
+    assert "_group_arg" not in err and "_curve_arg" not in err
 
 
 def test_oracle_work_budget_refuses_large_searches():

@@ -151,6 +151,11 @@ def test_cvp_lattice_point_and_errors():
         cvp(g, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
 
 
+def test_cvp_refuses_order_one():
+    with pytest.raises(BadSize, match=r"^the lattice needs a group of order at least 2$"):
+        cvp(AbelianGroup(1, 1), (0,))
+
+
 def test_cvp_deep_hole_identity():
     for shape in [(1, 4), (1, 5), (2, 2), (1, 8), (3, 3)]:
         g = AbelianGroup(*shape)
@@ -186,18 +191,18 @@ def test_cvp_matches_brute_force():
 
 
 def test_covering_bounds_values():
-    rep = covering_bounds(4)
+    rep = covering_bounds(AbelianGroup(2, 2))
     assert rep.lower == 1.0
     assert abs(rep.upper_new - (1 + math.sqrt(2))) < 1e-12
     assert abs(rep.upper_old - 0.5 * (math.sqrt(40) + 2)) < 1e-12
     assert rep.upper_boettcher is None
-    assert covering_bounds(4, cyclic=True).upper_boettcher is not None
-    assert covering_bounds(2, cyclic=True).upper_boettcher is None
+    assert covering_bounds(AbelianGroup(1, 4)).upper_boettcher is not None
+    assert covering_bounds(AbelianGroup(1, 2)).upper_boettcher is None
 
 
 def test_covering_bound_chain():
     for N in range(2, 101):
-        rep = covering_bounds(N, cyclic=True)
+        rep = covering_bounds(AbelianGroup(1, N))
         assert rep.lower <= rep.upper_new <= rep.upper_old - 1e-12
         assert abs(rep.lower - math.sqrt(float(rep.mu_A_sq))) < 1e-12
 
@@ -207,7 +212,7 @@ def test_within_upper_bound_is_exact():
     mu_sq = covering_radius_An_sq(4)
     above = Fraction(5828427125, 10**9)  # 2.5e-10 above the bound
     below = Fraction(5828427124, 10**9)  # 7.5e-10 below it
-    assert math.sqrt(float(above)) <= covering_bounds(4).upper_new + 1e-9  # a float test with slack accepts it
+    assert math.sqrt(float(above)) <= covering_bounds(AbelianGroup(2, 2)).upper_new + 1e-9  # a float test with slack accepts it
     assert not within_upper_bound(above, mu_sq)
     assert within_upper_bound(below, mu_sq)
     assert within_upper_bound(mu_sq, mu_sq)
@@ -287,6 +292,12 @@ def test_sampled_covering_refusals(shape, trials):
     with pytest.raises(SearchBoundExceeded):
         sampled_covering_check(AbelianGroup(*shape), trials, 7)
     assert time.perf_counter() - start < 5
+
+
+def test_sampled_covering_refuses_negative_trials():
+    with pytest.raises(BadSize, match="non-negative number of trials"):
+        sampled_covering_check(AbelianGroup(1, 5), -3, 1)
+    assert sampled_covering_check(AbelianGroup(1, 5), 0, 1).trials == 0
 
 
 def test_sampled_covering_charges_n_nodes_per_trial_and_the_searches_on_top(monkeypatch):
