@@ -5,12 +5,12 @@ plain text); notes and errors go to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
 command refuses: a group of order 1; an oracle search or a whole covering
-check past lattice.SEARCH_MAX_NODES nodes, the one limit of both searches;
-covering --trials above COVERING_MAX_TRIALS, since a trial at small N costs
-few nodes but real time, and a group whose covering bounds leave the float
-range; basis and verify above BASIS_MAX_N; minvec above MINVEC_MAX_N;
-density --to above DENSITY_MAX_N; and a curve prime above curves.MAX_P,
-checked before the prime is tested. curve certifies the basis only up to
+check past lattice.SEARCH_MAX_NODES nodes, the one limit of both searches,
+which charges each covering trial about its time in nodes; a group whose
+covering bounds leave the float range; basis above BASIS_MAX_N; verify
+above VERIFY_MAX_N; minvec above MINVEC_MAX_N; density --to above
+DENSITY_MAX_N; and a curve prime above curves.MAX_P, checked before the
+prime is tested. curve certifies the basis only up to
 N = CURVE_BASIS_MAX_N and reports the structure and bounds alone above it.
 """
 
@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from math import isqrt
 
 from . import basis as basis_mod
 from . import curves, geometry
@@ -31,17 +32,15 @@ from .lattice import Lattice, minimal_quadruples, span_rank, support
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
-# basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4), and
-# verify takes about 0.3 s at N = 10^4; the cap admits 10173, the Hasse maximum for p <= 10^4
+# basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4)
 BASIS_MAX_N = 10_200
+# the Hasse bound N <= p + 1 + 2 sqrt(p) (Washington, thm. 4.2) at curves.MAX_P, so verify certifies
+# the group of every curve that curve admits: about 1 s and 140 MB at N = 100633
+VERIFY_MAX_N = curves.MAX_P + 1 + isqrt(4 * curves.MAX_P)
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
 # density takes about 0.7 s for --to 100000
 DENSITY_MAX_N = 100_000
-# the node budget charges a trial N nodes, which does not bound the trials at small N: a trial takes
-# about 12 us at 1x2 and 35 us at 1x10, so the 10^6 trials that 2000000 nodes admit at N = 2 would
-# take about 12 s. The cap keeps a run to about 4 s
-COVERING_MAX_TRIALS = 100_000
 # curve builds and certifies the basis only up to this order; perfbench/checks.py expects exactly this bound
 CURVE_BASIS_MAX_N = 300
 
@@ -214,7 +213,7 @@ def cmd_minvec(args) -> int:
 
 def cmd_verify(args) -> int:
     g = args.group
-    _refuse_above(g, BASIS_MAX_N, "verify", "certification takes time and memory linear in N")
+    _refuse_above(g, VERIFY_MAX_N, "verify", "certification takes time and memory linear in N")
     result = basis_mod.build_minimal_basis(g)
     _emit(args, {"group": g.spec(), "kind": result.kind, **asdict(result.report), "certified": result.certified})
     return 0 if result.accepted else 1
@@ -228,7 +227,7 @@ def cmd_density(args) -> int:
         for rep in reports:
             writer.writerow([rep.N, repr(rep.log_density), repr(rep.log_mh_bound), rep.satisfies_mh])
     elif args.json:
-        _emit(args, [asdict(rep) for rep in reports])
+        _emit(args, [vars(rep) for rep in reports])
     else:
         for rep in reports:
             flag = "yes" if rep.satisfies_mh else "no"
@@ -337,11 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = group_command("covering", "covering-radius bounds and seeded random check", cmd_covering)
-    p.add_argument(
-        "--trials",
-        type=_int_in(0, COVERING_MAX_TRIALS, f"an integer from 0 to {COVERING_MAX_TRIALS}"),
-        default=DEFAULT_TRIALS,
-    )
+    p.add_argument("--trials", type=_nonnegative_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p)
 

@@ -5,11 +5,10 @@ cap and the values next to it, 40-digit integers and malformed specs; curve
 primes run up to the prime just above curves.MAX_P. Every call must exit 0,
 1 or 2 without a traceback. Sizes that take seconds by design are left out
 where noted: basis at BASIS_MAX_N and minvec at MINVEC_MAX_N print hundreds
-of MB, and covering at N <= 10 with 100000 trials takes about 1.2 s at
-N = 2 and up to about 4 s at N = 10. The node budget SEARCH_MAX_NODES is the
-only limit of the oracle and of a covering check, with no dimension cap; at
-N nodes per trial it does not bound the trials at small N, where a trial
-costs few nodes but real time, so COVERING_MAX_TRIALS stays.
+of MB. The node budget SEARCH_MAX_NODES is the only limit of the oracle and
+of a covering check, with no dimension cap and no cap on --trials: a
+covering trial is charged 4N + 10 nodes, about its time, so a check at the
+edge of the budget takes about as long as a whole search.
 """
 
 import contextlib
@@ -22,7 +21,7 @@ from math import isqrt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eclat.cli import BASIS_MAX_N, COVERING_MAX_TRIALS, DENSITY_MAX_N, MINVEC_MAX_N, main
+from eclat.cli import BASIS_MAX_N, DENSITY_MAX_N, MINVEC_MAX_N, VERIFY_MAX_N, main
 from eclat.errors import BadSize, SearchBoundExceeded
 from eclat.groups import AbelianGroup
 from eclat.lattice import SEARCH_MAX_NODES, Lattice, _enumerate
@@ -30,6 +29,7 @@ from eclat.lattice import SEARCH_MAX_NODES, Lattice, _enumerate
 BIG = 10**39 + 3  # 40 digits
 MALFORMED_GROUPS = ["", "x", "3", "2x", "x3", "2x3x4", "a x b", "1e3x2", "-1x5", "2.0x4", "٣x٤"]
 MALFORMED_INTS = ["", "abc", "1.5", "1e3", "0x10"]
+MOST_TRIALS = SEARCH_MAX_NODES // (4 * 2 + 10)  # the most covering trials the charge admits, at N = 2
 EDGE_SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -61,14 +61,6 @@ def groups(*orders):
     return st.one_of(shapes, st.sampled_from(MALFORMED_GROUPS))
 
 
-def order_of(spec):
-    try:
-        m, n = (int(x) for x in spec.split("x"))
-    except ValueError:
-        return None
-    return m * n
-
-
 SMALL = [2, 3, 4, 5, 12, 13]
 FORMATS = st.sampled_from([(), ("--json",), ("--csv",)])
 
@@ -79,7 +71,7 @@ def test_group_edges(spec, fmt):
     check_edge_call(["group", "--group", spec, *fmt])
 
 
-@given(groups(*SMALL, BASIS_MAX_N - 1, BASIS_MAX_N, BASIS_MAX_N + 1), FORMATS)
+@given(groups(*SMALL, VERIFY_MAX_N - 1, VERIFY_MAX_N, VERIFY_MAX_N + 1), FORMATS)
 @EDGE_SETTINGS
 def test_verify_edges(spec, fmt):
     check_edge_call(["verify", "--group", spec, *fmt])
@@ -99,15 +91,12 @@ def test_minvec_edges(spec, fmt):
 
 @given(
     groups(*SMALL, 10**200, 10**400),
-    ints(0, 1, -1, 2, COVERING_MAX_TRIALS, COVERING_MAX_TRIALS + 1, BIG),
+    ints(0, 1, -1, 2, MOST_TRIALS, MOST_TRIALS + 1, BIG),
     ints(0, -1, 2**64, BIG),
     FORMATS,
 )
 @EDGE_SETTINGS
 def test_covering_edges(spec, trials, seed, fmt):
-    N = order_of(spec)
-    if trials == str(COVERING_MAX_TRIALS) and N is not None and 1 <= N <= 10:
-        trials = "2"  # the largest run takes up to about 4 s by design
     check_edge_call(["covering", "--group", spec, "--trials", trials, "--seed", seed, *fmt])
 
 
@@ -278,17 +267,39 @@ def test_oracle_budget_fits_the_recursion():
 
 
 def test_basis_cap_admits_every_default_curve_group():
-    assert BASIS_MAX_N >= 10173  # the Hasse maximum p + 1 + 2 sqrt(p) at p = 9973
-    code, out, err = call(["verify", "--group", f"1x{BASIS_MAX_N}", "--json"])
+    # the Hasse maximum p + 1 + 2 sqrt(p) at p = 99991, the largest prime curve admits, is 100624
+    assert VERIFY_MAX_N >= 100624
+    code, out, err = call(["verify", "--group", f"1x{VERIFY_MAX_N}", "--json"])
     assert code == 0 and '"certified": true' in out
 
 
-@pytest.mark.parametrize("command", ["basis", "verify"])
-@pytest.mark.parametrize("spec", [f"1x{BASIS_MAX_N + 1}", f"2x{BASIS_MAX_N}", f"1x{10**39}"])
-def test_basis_cap_is_a_usage_error(command, spec):
+@pytest.mark.parametrize(
+    "spec,command",
+    [
+        (spec, command)
+        for command, cap in (("basis", BASIS_MAX_N), ("verify", VERIFY_MAX_N))
+        for spec in (f"1x{cap + 1}", f"2x{cap}", f"1x{10**39}")
+    ],
+)
+def test_basis_cap_is_a_usage_error(spec, command):
     for fmt in ((), ("--json",)):
         start = time.perf_counter()
         code, out, err = call([command, "--group", spec, *fmt])
         assert code == 2 and out == ""
         assert err.count("error") == 1 and "--group" in err and "Traceback" not in err
         assert time.perf_counter() - start < 2
+
+
+def test_covering_budget_edges_take_about_one_search():
+    # the most trials at N = 2 and the default 50 trials at the largest N, each against a whole search
+    start = time.perf_counter()
+    assert _enumerate(AbelianGroup(1, 12), [0] * 12, 1, 14, lambda c, v: 14, SEARCH_MAX_NODES) < 0
+    search = time.perf_counter() - start
+    # MOST_TRIALS leaves 2 nodes for the searches, too few for the 11 they take at the default seed
+    for argv in (["--group", "1x2", "--trials", str(MOST_TRIALS - 1)], ["--group", "1x9997"]):
+        start = time.perf_counter()
+        code, out, err = call(["covering", *argv, "--json"])
+        assert code == 0 and '"all_within_upper": true' in out, argv
+        assert time.perf_counter() - start < 2 * search, argv
+    for argv in (["--group", "1x2", "--trials", str(MOST_TRIALS)], ["--group", "1x9998"]):
+        assert call(["covering", *argv, "--json"])[0] == 2, argv

@@ -10,6 +10,7 @@ from eclat import geometry
 from eclat.errors import BadSize, NotInAn, SearchBoundExceeded
 from eclat.geometry import (
     _retraction_point,
+    _scaled_targets,
     covering_bounds,
     covering_radius_An_sq,
     cvp,
@@ -20,7 +21,6 @@ from eclat.geometry import (
     retract,
     sample_targets,
     sampled_covering_check,
-    splitmix64,
     within_upper_bound,
     zeta,
 )
@@ -219,11 +219,11 @@ def test_within_upper_bound_is_exact():
 
 
 def test_splitmix64_reference_sequence():
-    # published SplitMix64 outputs from seed 0
-    v1, state = splitmix64(0)
-    assert v1 == 0xE220A8397B1DCDAF
-    v2, _ = splitmix64(state)
-    assert v2 == 0x6E789E6AA1B965F4
+    # the published SplitMix64 outputs from seed 0, as one trial at N = 5 draws them: residues mod 31
+    # shifted to [-15, 15], then projected to coordinate sum zero and scaled by 2N = 10
+    outputs = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC, 0x1B39896A51A8749B]
+    draws = [v % 31 - 15 for v in outputs]
+    assert list(_scaled_targets(5, 1, 0)) == [[5 * d - sum(draws) for d in draws]]
 
 
 def test_sample_targets_deterministic_and_in_plane():
@@ -280,11 +280,11 @@ def test_deep_hole_search_spends_at_least_the_central_binomial(N):
 @pytest.mark.parametrize(
     "shape,trials",
     [
-        ((1, SEARCH_MAX_NODES + 1), 1),  # one trial's coordinates pass the budget
+        ((1, 499998), 1),  # one trial is charged 4 * 499998 + 10, 2 nodes past the budget
         ((1, 10**39), 50),
-        ((1, 20), SEARCH_MAX_NODES),  # N nodes per trial
-        ((1, 40001), 50),  # 50 * 40001 passes 2000000 by 50
-        ((2, 20001), 50),  # the count takes the group's order, not its cyclic factor
+        ((1, 20), SEARCH_MAX_NODES),  # more trials than nodes
+        ((1, 9998), 50),  # 50 * (4 * 9998 + 10) passes 2000000 by 100
+        ((2, 4999), 50),  # the charge takes the group's order, not its cyclic factor
     ],
 )
 def test_sampled_covering_refusals(shape, trials):
@@ -300,22 +300,22 @@ def test_sampled_covering_refuses_negative_trials():
     assert sampled_covering_check(AbelianGroup(1, 5), 0, 1).trials == 0
 
 
-def test_sampled_covering_charges_n_nodes_per_trial_and_the_searches_on_top(monkeypatch):
+def test_sampled_covering_charges_4n_plus_10_nodes_per_trial_and_the_searches_on_top(monkeypatch):
     # at 1x4 and seed 1 the first two trials have retraction points within the deep hole's distance 1,
-    # and the third is searched
+    # and the third is searched; a trial at N = 4 is charged 4 * 4 + 10 = 26 nodes
     g = AbelianGroup(1, 4)
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 4)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 26)
     assert sampled_covering_check(g, 2, 1).max_distance_sq == 1
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 4 - 1)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 2 * 26 - 1)
     with pytest.raises(SearchBoundExceeded):
         sampled_covering_check(g, 2, 1)
     budget = [SEARCH_MAX_NODES]
     third = list(sample_targets(4, 3, 1))[2]
     expected = max(Fraction(1), cvp(g, third, budget=budget)[1])
     search_nodes = SEARCH_MAX_NODES - budget[0]
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 4 + search_nodes)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 26 + search_nodes)
     assert sampled_covering_check(g, 3, 1).max_distance_sq == expected
-    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 4 + search_nodes - 1)
+    monkeypatch.setattr(geometry, "SEARCH_MAX_NODES", 3 * 26 + search_nodes - 1)
     with pytest.raises(SearchBoundExceeded):
         sampled_covering_check(g, 3, 1)
 
