@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
+from operator import mul
 
 from .errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
 from .groups import AbelianGroup
@@ -26,6 +29,8 @@ from .lattice import SEARCH_MAX_NODES, Lattice, Vector, _enumerate
 RationalPoint = tuple[Fraction, ...]
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # the SplitMix64 increment
+_LANES = 2048  # SplitMix64 outputs computed at once by _splitmix64
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def _retraction_point(group: AbelianGroup, ts: list[int], D: int) -> tuple[Vecto
         x[h] -= 1
         r[g] += D
         r[h] -= D
-    return tuple(x), sum(c * c for c in r)
+    return tuple(x), sum(map(mul, r, r))
 
 
 def cvp(group: AbelianGroup, target: RationalPoint, *, budget: list[int] | None = None) -> tuple[Vector, Fraction]:
@@ -220,12 +225,10 @@ def cvp(group: AbelianGroup, target: RationalPoint, *, budget: list[int] | None 
     budget is a one-item list of the nodes left, which calls can share; a
     call without one gets SEARCH_MAX_NODES. A search past its budget, or one
     that recurses (a frame per coordinate) past half the interpreter's
-    recursion limit, raises SearchBoundExceeded.
+    recursion limit, raises SearchBoundExceeded (see _enumerate).
     """
     Lattice(group)  # refuses a group of order 1
     N = group.order
-    if 2 * N > sys.getrecursionlimit():
-        raise SearchBoundExceeded(f"the closest-vector search at N = {N} recurses too deep; use a smaller --group")
     if len(target) != N:
         raise LengthMismatch(f"expected length {N}, got {len(target)}")
     target = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
@@ -272,19 +275,51 @@ def covering_bounds(group: AbelianGroup) -> CoveringReport:
     return CoveringReport(N, mu_sq, lower, upper_new, upper_old, boettcher)
 
 
-def _scaled_targets(N: int, trials: int, seed: int) -> Iterator[list[int]]:
-    """The targets of sample_targets as integer numerators over 2N^2, the SplitMix64 step inlined."""
+def _lanes(values: Iterator[int]) -> int:
+    """The integer whose 128-bit lanes, lowest first, hold the values."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+@lru_cache(maxsize=1)
+def _lane_constants() -> tuple[int, int, int]:
+    """1 in every lane, 2^64 - 1 in every lane, and j + 1 steps of the state in lane j."""
+    ones = _lanes(1 for _ in range(_LANES))
+    return ones, ones * _MASK64, _lanes((j + 1) * _GOLDEN & _MASK64 for j in range(_LANES))
+
+
+def _splitmix64(seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The first `count` SplitMix64 outputs from the seed, in batches of _LANES.
+
+    A batch holds its states in the 128-bit lanes of one integer, so each
+    step of the mix is one integer operation on the whole batch: a lane's
+    product with a 64-bit constant stays below 2^128, and masking every lane
+    to 64 bits after a shift drops the bits that came from its neighbour.
+    """
+    ones, masks, steps = _lane_constants()
     state = seed & _MASK64
+    for done in range(0, count, _LANES):
+        k = min(_LANES, count - done)
+        z = (steps + ones * state) & masks & ((1 << 128 * k) - 1)
+        z ^= z >> 30 & masks
+        z = z * 0xBF58476D1CE4E5B9 & masks
+        z ^= z >> 27 & masks
+        z = z * 0x94D049BB133111EB & masks
+        z ^= z >> 31 & masks
+        yield struct.unpack(f"<{2 * k}Q", z.to_bytes(16 * k, "little"))[::2]
+        state = (state + k * _GOLDEN) & _MASK64
+
+
+def _scaled_targets(N: int, trials: int, seed: int) -> Iterator[list[int]]:
+    """The targets of sample_targets as integer numerators over 2N^2.
+
+    A draw is an output's residue mod 6N + 1 less 3N; the offset cancels in
+    the projection, so each trial projects N residues.
+    """
     width = 6 * N + 1
-    for _ in range(trials):
-        draws = []
-        for _ in range(N):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            draws.append((z ^ (z >> 31)) % width - 3 * N)
-        total = sum(draws)
-        yield [N * d - total for d in draws]
+    residues = map(width.__rmod__, chain.from_iterable(_splitmix64(seed, N * trials)))
+    for u in zip(*[residues] * N):
+        total = sum(u)
+        yield [N * x - total for x in u]
 
 
 def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
@@ -324,8 +359,8 @@ def sampled_covering_check(group: AbelianGroup, trials: int, seed: int) -> Sampl
     mu_sq = covering_radius_An_sq(N)
     if trials < 0:
         raise BadSize(f"the covering check needs a non-negative number of trials, got {trials}")
-    # measured with Python 3.11 on a 2-core x86 VM: drawing and rounding a trial take about 1.0 us * N + 2.4 us,
-    # and a node of the search about 0.24 us, so a trial costs about 4.3 N + 10 nodes (5 N at N = 40000)
+    # measured with Python 3.11 on a 2-core x86 VM: drawing and rounding a trial take about 1.1 us * N + 3 us,
+    # and a node of the search 0.22 to 0.30 us, so a trial costs about 5 N + 15 nodes (6 N at N = 40000)
     charge = trials * (4 * N + 10)
     if charge > SEARCH_MAX_NODES:
         raise SearchBoundExceeded(
@@ -336,11 +371,13 @@ def sampled_covering_check(group: AbelianGroup, trials: int, seed: int) -> Sampl
     # the zero vector attains mu^2 from the deep hole, and no point of A_{N-1} is nearer
     deep_sq = max_sq = mu_sq
     D = 2 * N * N
+    num, den = max_sq.numerator * D * D, max_sq.denominator  # a cost c is within max_sq when c * den <= num
     for ts in _scaled_targets(N, trials, seed):
-        if _retraction_point(group, ts, D)[1] * max_sq.denominator <= max_sq.numerator * D * D:
+        if _retraction_point(group, ts, D)[1] * den <= num:
             continue
         # looked up on the module at each call, so a wrapper set on geometry.cvp sees every search
         max_sq = max(max_sq, cvp(group, tuple(Fraction(t, D) for t in ts), budget=budget)[1])
+        num, den = max_sq.numerator * D * D, max_sq.denominator
     return SampledCoveringReport(
         trials=trials,
         seed=seed,

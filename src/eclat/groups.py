@@ -77,12 +77,12 @@ class AbelianGroup:
 
     def weighted_sum(self, terms: Iterable[tuple[int, int]]) -> GroupElement:
         """The element sum(c * element_at(i)) over the (i, c) terms, read off i as divmod(i, n)."""
+        n = self.n
         wa = wb = 0
         for i, c in terms:
-            a, b = divmod(i, self.n)
-            wa += c * a
-            wb += c * b
-        return (wa % self.m, wb % self.n)
+            wa += c * (i // n)
+            wb += c * (i % n)
+        return (wa % self.m, wb % n)
 
     def elements(self) -> list[GroupElement]:
         """All elements in index order, identity first."""

@@ -9,9 +9,10 @@ A_{N-1} cut out by sum(i * x_i) = 0 mod N.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -107,11 +108,12 @@ class Lattice:
         """Every nonzero lattice vector with squared norm <= the bound, sorted.
 
         The lattice enumeration around the origin; independent of the
-        pair-sum characterization used by minimal_vectors. A search that
-        would spend more than SEARCH_MAX_NODES nodes raises
+        pair-sum characterization used by minimal_vectors. The search finds
+        one vector of each pair +-v, the one whose first nonzero entry is
+        positive, and both are kept; with n >= 2 it settles membership at
+        the last row and at the second-to-last coordinate (see _enumerate).
+        A search that would spend more than SEARCH_MAX_NODES nodes raises
         SearchBoundExceeded, before it starts when the count below shows it.
-        That count also keeps N at most 182, so the depth-first recursion, one
-        frame per coordinate, stays far under Python's limit.
         """
         g = self.group
         N = g.order
@@ -123,14 +125,17 @@ class Lattice:
         def visit(cost: int, vec: Vector) -> int:
             if cost:
                 out.append(vec)
+                out.append(tuple(-c for c in vec))
             return bound
 
-        # the nodes tried include, at each of the N - 1 levels, all 2r + 1 values
-        # after the zero prefix, and the value 0 after each prefix with one nonzero
-        # entry x, x^2 + |x| <= bound, or with two, x then -x, 2x^2 <= bound
+        # the nodes charged include, at each of the N - 1 levels, all 2r + 1 values after the zero prefix (which
+        # loops over x >= 0 only), and a call after each prefix whose nonzero entries are one x > 0,
+        # x^2 + x <= bound, or two, x then -x, 2x^2 <= bound; such a call is counted where the row test cannot cut
+        # it off: the prefix's nonzero entries lie in the last row (from coordinate R on), or the call comes before it
+        R = (g.m - 1) * g.n if g.n > 1 else 0
         r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
-        least = (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
-        if least > SEARCH_MAX_NODES or _enumerate(g, [0] * N, 1, bound, visit, SEARCH_MAX_NODES) < 0:
+        least = (N - 1) * (2 * r + 1) + t * (comb(N - 1 - R, 2) + comb(R, 2)) + s * (comb(N - 1 - R, 3) + comb(R, 3))
+        if least > SEARCH_MAX_NODES or _enumerate(g, [0] * N, 1, bound, visit, SEARCH_MAX_NODES, symmetric=True) < 0:
             raise SearchBoundExceeded(
                 f"the search for squared norms <= {bound} at N = {N} passes {SEARCH_MAX_NODES} nodes;"
                 " lower --oracle-bound or use a smaller --group"
@@ -171,19 +176,27 @@ _cost = itemgetter(0)
 
 
 def _enumerate(
-    group: AbelianGroup, ts: list[int], D: int, limit: int, visit: Callable[[int, Vector], int], nodes: int
+    group: AbelianGroup,
+    ts: list[int],
+    D: int,
+    limit: int,
+    visit: Callable[[int, Vector], int],
+    nodes: int,
+    *,
+    symmetric: bool = False,
 ) -> int:
     """Visit every lattice vector x with cost sum((D*x_i - ts_i)^2) <= limit.
 
     The target is ts / D, and the group has order at least 2, as Lattice
-    requires. The search is depth first over the coordinates in index order;
-    the zero-sum constraint fixes the last coordinate and membership is tested
-    there. visit(cost, x) is called at each lattice vector within the limit and
-    returns the limit to continue with. The search spends at most `nodes`
-    nodes: each call counts itself and, before its loop, every candidate within
-    the limit there, leaves included. It returns the nodes left, so one budget
-    can span several searches; a negative count means the budget ran out before
-    the search finished.
+    requires. The search is depth first over the coordinates in index order,
+    one frame per coordinate, so a group of order N with 2N above the
+    interpreter's recursion limit raises SearchBoundExceeded. visit(cost, x)
+    is called at each lattice vector within the limit and returns the limit
+    to continue with. The search spends at most `nodes` nodes: each call
+    counts itself and, before its loop, every candidate within the limit
+    there, leaves included. It returns the nodes left, so one budget can span
+    several searches; a negative count means the budget ran out before the
+    search finished.
 
     Each coordinate's cost depends on that coordinate alone, so its
     candidates are sorted by cost once, from the initial limit, and tried
@@ -191,10 +204,26 @@ def _enumerate(
     least sum(rho_j^2) + D*(D - 2*max(rho_j))*|s - sum(n_j)| when they must
     sum to s, where n_j is the integer nearest ts_j / D and
     rho_j = |D*n_j - ts_j| <= D/2.
+
+    The zero-sum constraint fixes the last coordinate, and membership is
+    settled before the leaves when n >= 2. Every element of the last row,
+    from coordinate (m-1)*n on, has first component m - 1, and the row's
+    entries sum to -total, so the call for that coordinate returns, uncharged,
+    when the m-part of the weighted sum, wa - (m-1)*total, is not 0 mod m.
+    With y = -total - x in the last place, the n-part is wb - (n-1)*total - x,
+    so the second-to-last coordinate loops only over its candidates
+    x = wb - (n-1)*total mod n, split by residue once per search; its leaves
+    then need only their cost test. For n = 1 the leaves test the m-part.
+
+    symmetric=True, for a target at the origin, visits one vector of each
+    pair +-x, the one whose first nonzero entry is positive: a call with a
+    zero prefix loops only over its candidates x >= 0.
     """
+    N, m, n = group.order, group.m, group.n
+    if 2 * N > sys.getrecursionlimit():
+        raise SearchBoundExceeded(f"the search at N = {N} recurses too deep; use a smaller --group")
     if limit < 0:
         return nodes
-    N, m, n = group.order, group.m, group.n
     last = N - 1
     r = isqrt(limit)
     cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
@@ -206,33 +235,45 @@ def _enumerate(
         b, s, rho_max = b + rho * rho, s + nj, max(rho_max, rho)
         base[j - 1], near[j - 1], slope[j - 1] = b, s, D * (D - 2 * rho_max)
     t_last = ts[last]
-    a_last, b_last = divmod(last, n)
+    a_last = last // n
+    row = (m - 1) * n if n > 1 else -1  # the call that settles the m-part; at m = 1 it always passes
     coords = [0] * N
-    # each coordinate's candidates, the bounds on the later ones, and its element (a, b)
-    rows = [(cands[i], base[i], near[i], slope[i], *divmod(i, n)) for i in range(last)]
+    # each coordinate's candidates, those it loops over after a prefix of nonzero and of zero cost (the
+    # symmetric search takes x >= 0 after the zero prefix; at the second-to-last coordinate, one list per
+    # residue mod n), the bounds on the later ones, and its element (a, b)
+    loops = [(c, [e for e in c if e[1] >= 0] if symmetric else c) for c in cands]
+    loops[-1] = tuple([[e for e in c if e[1] % n == k] for k in range(n)] for c in loops[-1])
+    rows = [(cands[i], *loops[i], base[i], near[i], slope[i], *divmod(i, n)) for i in range(last)]
 
     def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
         nonlocal limit, nodes
-        cand, bi, nr, sl, a, bw = rows[i]
+        if i == row and (wa - (m - 1) * total) % m:
+            return
+        cand, full, half, bi, nr, sl, a, bw = rows[i]
         nodes -= 1 + bisect_right(cand, limit - cost - bi, key=_cost)
         if nodes < 0:
             limit = -1  # out of budget: every loop breaks at its first candidate
-        inner = i < last - 1
-        for c, x in cand:
+        if i < last - 1:
+            for c, x in full if cost else half:
+                c += cost
+                if c + bi > limit:
+                    break
+                if c + bi + sl * abs(total + x + nr) > limit:
+                    continue
+                coords[i] = x
+                dfs(i + 1, total + x, wa + x * a, wb + x * bw, c)
+            return
+        # the last coordinate is fixed here, not in a call: most nodes are leaves
+        for c, x in (full if cost else half)[(wb - (n - 1) * total) % n]:
             c += cost
             if c + bi > limit:
                 break
             if c + bi + sl * abs(total + x + nr) > limit:
                 continue
-            coords[i] = x
-            if inner:
-                dfs(i + 1, total + x, wa + x * a, wb + x * bw, c)
-                continue
-            # the last coordinate is tested here, not in a call: most nodes are leaves
             y = -total - x
             c += (D * y - t_last) ** 2
-            if c <= limit and (wa + x * a + y * a_last) % m == 0 and (wb + x * bw + y * b_last) % n == 0:
-                coords[last] = y
+            if c <= limit and (n > 1 or (wa + x * a + y * a_last) % m == 0):
+                coords[i], coords[last] = x, y
                 limit = visit(c, tuple(coords))
 
     dfs(0, 0, 0, 0, 0)

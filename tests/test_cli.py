@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -174,6 +175,35 @@ def test_oracle_explicit_bound(capsys, bound, oracle_count, pair_sum_count):
     assert payload["agree"] is None
 
 
+# sha256 of the concatenated stdout, recorded from the enumerator that tested membership only at its leaves
+# and searched both vectors of each pair +-v: the searches must return the same vectors in the same order
+SEARCH_DIGESTS = {
+    "oracle": "d16b3324b165f8ccb985a725dfb566418ca38b8bad47a18a9c6472f2d7aa540b",
+    "covering": "d188943439c207bb2dd7b80910f63d7a5880264ccf87cb175bc56d5647ff07aa",
+}
+
+
+def test_search_outputs_match_recorded_digests(capsys):
+    # the benchmark's nine oracle inputs, and covering at seed 7 for every canonical group of order 2 to 12
+    calls = {
+        "oracle": [
+            ("oracle", "--group", spec, "--oracle-bound", str(bound), "--json")
+            for spec in ("1x11", "1x12", "2x6")
+            for bound in (6, 8, 10)
+        ],
+        "covering": [
+            ("covering", "--group", g.spec(), "--json", "--seed", "7") for N in range(2, 13) for g in canonical_groups_of_order(N)
+        ],
+    }
+    for name, argvs in calls.items():
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out = run(capsys, *argv)
+            assert code == 0, argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == SEARCH_DIGESTS[name], name
+
+
 def test_curve_pipeline(capsys):
     code, out = run(capsys, "curve", "--curve", "5,1,1", "--json")
     assert code == 0
@@ -245,7 +275,7 @@ def test_negative_integer_flags_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [(cmd, "--group", "1x1") for cmd in ("basis", "minvec", "verify", "covering", "oracle")]
-    + [("oracle", "--group", "1x183")]
+    + [("oracle", "--group", "1x230")]
     + [("covering", "--group", "1x9998")],
 )
 def test_size_refusals_are_usage_errors(capsys, argv):

@@ -16,7 +16,7 @@ import io
 import subprocess
 import sys
 import time
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -101,7 +101,7 @@ def test_covering_edges(spec, trials, seed, fmt):
 
 
 @given(
-    groups(*SMALL, 20, 182, 183),
+    groups(*SMALL, 20, 229, 230),
     st.sampled_from([None, "0", "1", "2", "3", "4", "20", "-1", str(BIG), "abc"]),
     FORMATS,
 )
@@ -201,7 +201,7 @@ def test_oracle_work_budget_refuses_large_searches():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("oracle", "--group", "1x183"),  # the smallest N refused up front at the minimal norm
+        ("oracle", "--group", "1x230"),  # the smallest N refused up front at the minimal norm
         ("oracle", "--group", f"1x{10**39}"),
         ("oracle", "--group", "1x8", "--oracle-bound", str(BIG)),
         # N = 2 and 3 pass the up-front count at any bound without a budget on the candidates
@@ -238,31 +238,53 @@ def test_oracle_below_the_smallest_norm_is_empty():
     assert code == 0 and '"oracle_count": 0' in out
 
 
-def least_oracle_nodes(N, bound):
-    # the count svp_oracle refuses up front when it passes the budget
+def least_oracle_nodes(group, bound):
+    # the count svp_oracle refuses up front when it passes the budget: the zero prefix's candidates, and a
+    # call after each prefix x > 0 or x, -x that the row test at coordinate R cannot cut off
+    N, R = group.order, (group.m - 1) * group.n if group.n > 1 else 0
     r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
-    return (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
+    return (N - 1) * (2 * r + 1) + t * (comb(N - 1 - R, 2) + comb(R, 2)) + s * (comb(N - 1 - R, 3) + comb(R, 3))
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (1, 9), (3, 3)])
+def oracle_nodes(group, bound, symmetric=True):
+    # the nodes spent by the search svp_oracle runs; symmetric=False searches both vectors of each pair
+    N = group.order
+    return SEARCH_MAX_NODES - _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, SEARCH_MAX_NODES, symmetric=symmetric)
+
+
+ORACLE_SHAPES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (1, 9), (3, 3), (3, 1), (4, 1), (3, 2), (2, 6), (4, 2)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
 @pytest.mark.parametrize("bound", [2, 3, 4, 6, 9])
 def test_oracle_node_count_is_a_lower_bound(shape, bound):
-    # the search must spend at least that many nodes, so it cannot finish with one fewer
-    N = shape[0] * shape[1]
-    count = least_oracle_nodes(N, bound)
+    # the search must spend at least that many nodes, so it cannot finish with one fewer; the count is at
+    # most the one that held for the search of both vectors of each pair, so no search admitted then is refused
     group = AbelianGroup(*shape)
-    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, count - 1) < 0
-    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, SEARCH_MAX_NODES) >= 0
+    N = group.order
+    count = least_oracle_nodes(group, bound)
+    r, t, s = isqrt(bound), (isqrt(4 * bound + 1) - 1) // 2, isqrt(bound // 2)
+    assert count <= (N - 1) * (2 * r + 1 + t * (N - 2)) + s * (N - 1) * (N - 2) * (N - 3) // 3
+    assert _enumerate(group, [0] * N, 1, bound, lambda c, v: bound, count - 1, symmetric=True) < 0
+    assert oracle_nodes(group, bound) <= SEARCH_MAX_NODES
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_oracle_search_spends_at_most_the_full_search(shape):
+    # one vector of each pair never costs more nodes than both
+    group = AbelianGroup(*shape)
+    for bound in (2, 3, 4, 6, 9):
+        assert oracle_nodes(group, bound) <= oracle_nodes(group, bound, symmetric=False), bound
 
 
 def test_oracle_budget_fits_the_recursion():
     # the largest N the up-front count admits, searched until the budget runs out, in process
-    assert least_oracle_nodes(182, 2) <= SEARCH_MAX_NODES < least_oracle_nodes(183, 2)
+    assert least_oracle_nodes(AbelianGroup(1, 229), 2) <= SEARCH_MAX_NODES < least_oracle_nodes(AbelianGroup(1, 230), 2)
     with pytest.raises(SearchBoundExceeded):
-        Lattice(AbelianGroup(1, 182)).svp_oracle(2)
+        Lattice(AbelianGroup(1, 229)).svp_oracle(2)
     start = time.perf_counter()
     with pytest.raises(SearchBoundExceeded):
-        Lattice(AbelianGroup(1, 183)).svp_oracle(2)
+        Lattice(AbelianGroup(1, 230)).svp_oracle(2)
     assert time.perf_counter() - start < 1
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from eclat.errors import BadSize, NotInAn, SearchBoundExceeded
 from eclat.geometry import (
     _retraction_point,
     _scaled_targets,
+    _splitmix64,
     covering_bounds,
     covering_radius_An_sq,
     cvp,
@@ -190,6 +192,45 @@ def test_cvp_matches_brute_force():
             assert (got_vec, got_sq) == best
 
 
+SHAPES_UP_TO_7 = [(m, N // m) for N in range(2, 8) for m in range(1, N + 1) if N % m == 0]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_7)
+@given(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=6, max_size=6))
+@settings(max_examples=15, deadline=None)
+def test_cvp_matches_a_brute_force_box(shape, head):
+    # every shape of order <= 7, n = 1 shapes included: every lattice vector within the distance cvp
+    # finds has each coordinate within that distance, so the box of those coordinates holds the minimum
+    g = AbelianGroup(*shape)
+    N = g.order
+    lat = Lattice(g)
+    target = (*head[: N - 1], -sum(head[: N - 1]))
+    vec, dist_sq = cvp(g, target)
+    reach = math.isqrt(math.ceil(dist_sq)) + 1
+    box = [[v for v in range(math.floor(t) - reach, math.ceil(t) + reach + 1) if (v - t) ** 2 <= dist_sq] for t in target]
+    best = None
+    for combo in itertools.product(*box[:-1]):
+        v = (*combo, -sum(combo))
+        if v[-1] in box[-1] and lat.contains(v):
+            d = sum((c - t) ** 2 for c, t in zip(v, target))
+            best = min(best or (d, v), (d, v))
+    assert best == (dist_sq, vec)
+
+
+def test_both_searches_share_the_recursion_guard():
+    # N = 151 passes the oracle's up-front count, and the zero target costs cvp about 2(N - 1) nodes,
+    # so only the depth guard in the shared enumerator stops them under a lowered recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(SearchBoundExceeded, match="recurses too deep"):
+            Lattice(AbelianGroup(1, 151)).svp_oracle(2)
+        with pytest.raises(SearchBoundExceeded, match="recurses too deep"):
+            cvp(AbelianGroup(1, 151), (0,) * 151)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_covering_bounds_values():
     rep = covering_bounds(AbelianGroup(2, 2))
     assert rep.lower == 1.0
@@ -224,6 +265,15 @@ def test_splitmix64_reference_sequence():
     outputs = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC, 0x1B39896A51A8749B]
     draws = [v % 31 - 15 for v in outputs]
     assert list(_scaled_targets(5, 1, 0)) == [[5 * d - sum(draws) for d in draws]]
+    # the batched outputs against the scalar recurrence, across batch boundaries and for a seed past 2^64
+    for seed, count in ((0, 5000), (2**64 + 5, 2049)):
+        state, expected = seed % 2**64, []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+            expected.append(z ^ (z >> 31))
+        assert [z for batch in _splitmix64(seed, count) for z in batch] == expected
 
 
 def test_sample_targets_deterministic_and_in_plane():

@@ -214,9 +214,10 @@ def test_svp_oracle_matches_pair_sum(shape):
     assert lat.svp_oracle(lat.minimal_distance_sq()) == lat.minimal_vectors()
 
 
-@pytest.mark.parametrize("shape", [(1, 5), (1, 6), (1, 7), (2, 2), (2, 3)])
+@pytest.mark.parametrize("shape", [(1, 5), (1, 6), (1, 7), (2, 2), (2, 3), (3, 1), (4, 1), (3, 2)])
 def test_svp_oracle_complete_above_minimum(shape):
-    # brute force over the box |x_i| <= isqrt(B), which holds every vector of norm <= B
+    # brute force over the box |x_i| <= isqrt(B), which holds every vector of norm <= B; (3, 1) and (4, 1)
+    # keep the membership test at the leaves, and (3, 2) settles the m-part mod 3 at its last row
     lat = Lattice(AbelianGroup(*shape))
     N = lat.dim
     for bound in (6, 8, 10):
