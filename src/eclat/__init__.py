@@ -13,7 +13,7 @@ from .basis import (
     small_cyclic_basis,
     verify_basis,
 )
-from .curves import Curve, CurveGroup, CurvePoint, curve_group, group_structure, subgroup
+from .curves import Curve, CurveGroup, CurvePoint, curve_group, group_structure
 from .geometry import (
     CoveringReport,
     DensityReport,
@@ -32,7 +32,6 @@ from .groups import (
     AbelianGroup,
     GroupElement,
     canonical_groups_of_order,
-    canonical_map,
     make_group,
     parse_group_spec,
 )
@@ -42,9 +41,7 @@ from .lattice import (
     Support,
     Vector,
     dense,
-    divisor_degree,
     gram_report,
-    index_from_generators,
     minimal_quadruples,
     span_rank,
     support,
@@ -65,11 +62,10 @@ __all__ = [
     "Lattice",
     "SampledCoveringReport",
     "Support",
-    "VerificationReport",
     "Vector",
+    "VerificationReport",
     "build_minimal_basis",
     "canonical_groups_of_order",
-    "canonical_map",
     "covering_bounds",
     "covering_radius_An_sq",
     "curve_group",
@@ -77,11 +73,9 @@ __all__ = [
     "cyclic_basis",
     "deep_hole_An",
     "dense",
-    "divisor_degree",
     "explicit_small_basis",
     "gram_report",
     "group_structure",
-    "index_from_generators",
     "klein_basis",
     "make_group",
     "mh_window_scan",
@@ -93,7 +87,6 @@ __all__ = [
     "sampled_covering_check",
     "small_cyclic_basis",
     "span_rank",
-    "subgroup",
     "support",
     "verify_basis",
     "zeta",

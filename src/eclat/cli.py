@@ -121,7 +121,6 @@ def _group_arg(spec: str) -> AbelianGroup:
 
 
 def _curve_arg(spec: str) -> tuple[int, int, int]:
-    # only parsed here: cmd_curve checks p against curves.MAX_P before Curve's primality test
     try:
         p, a, b = (int(x) for x in spec.split(","))
     except ValueError:
@@ -266,9 +265,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    p, a, b = args.curve
-    curves.check_prime_bound(p)
-    curve = curves.Curve(p, a, b)
+    curve = curves.Curve(*args.curve)
     cg = curves.curve_group(curve)
     g = cg.structure
     bounds = geometry.covering_bounds(g)

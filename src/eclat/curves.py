@@ -13,7 +13,7 @@ structure, so the cost grows with N additions, not N order computations
 from __future__ import annotations
 
 from collections.abc import Container, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CurveTooLarge,
@@ -33,13 +33,16 @@ MAX_P = 100_000
 
 @dataclass(frozen=True)
 class Curve:
-    """Nonsingular curve y^2 = x^3 + ax + b over F_p."""
+    """Nonsingular curve y^2 = x^3 + ax + b over F_p, 3 < p <= MAX_P."""
 
     p: int
     a: int
     b: int
 
     def __post_init__(self) -> None:
+        # the bound comes first: trial division of a huge p would not finish
+        if self.p > MAX_P:
+            raise CurveTooLarge(f"p = {self.p} exceeds the enumeration bound {MAX_P}")
         if self.p <= 3 or not is_prime(self.p):
             raise ValueError(f"p must be a prime greater than 3, got {self.p}")
         object.__setattr__(self, "a", self.a % self.p)
@@ -99,11 +102,9 @@ class Curve:
     def points(self) -> list[CurvePoint]:
         """All rational points, infinity first then affine points sorted.
 
-        Raises CurveTooLarge when p exceeds MAX_P; the point count is checked
-        against the Hasse bound |N - p - 1| <= 2*sqrt(p).
+        The point count is checked against the Hasse bound |N - p - 1| <= 2*sqrt(p).
         """
         p = self.p
-        check_prime_bound(p)
         roots: dict[int, list[int]] = {}
         for y in range(p):
             roots.setdefault(y * y % p, []).append(y)
@@ -118,17 +119,11 @@ class Curve:
         return pts
 
 
-def check_prime_bound(p: int) -> None:
-    """Raise CurveTooLarge when p exceeds the point-enumeration bound MAX_P."""
-    if p > MAX_P:
-        raise CurveTooLarge(f"p = {p} exceeds the enumeration bound {MAX_P}")
-
-
 @dataclass(frozen=True, eq=False)
 class CurveGroup:
     """A subgroup of E(F_p) with an explicit isomorphism onto Z/n1 x Z/n2.
 
-    ``points[i]`` is the point labelled by structure.element_at(i), so the
+    ``points[i]`` is the point labelled by structure.elements()[i], so the
     point at infinity sits at index 0.
     """
 
@@ -136,20 +131,10 @@ class CurveGroup:
     structure: AbelianGroup
     points: tuple[CurvePoint, ...]
     generators: tuple[CurvePoint, CurvePoint]
-    _labels: dict[CurvePoint, GroupElement] = field(repr=False)
 
     @property
     def order(self) -> int:
         return self.structure.order
-
-    def label(self, point: CurvePoint) -> GroupElement:
-        try:
-            return self._labels[point]
-        except KeyError:
-            raise PointNotOnCurve(f"{point} is not in this subgroup") from None
-
-    def point_at(self, element: GroupElement) -> CurvePoint:
-        return self.points[self.structure.element_index(self.structure.reduce(element))]
 
 
 def point_order(curve: Curve, point: CurvePoint, group_order: int) -> int:
@@ -233,30 +218,12 @@ def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
         raise InternalInconsistency(f"n1 * g1 is not the identity for n1 = {n1}")
     if len(labels) != count or set(indexed) != pts:
         raise InternalInconsistency("generator pair does not label the group bijectively")
-    return CurveGroup(curve, AbelianGroup(n1, n2), tuple(indexed), (g1, g2), labels)
+    return CurveGroup(curve, AbelianGroup(n1, n2), tuple(indexed), (g1, g2))
 
 
 def curve_group(curve: Curve) -> CurveGroup:
     """Full rational-point group of the curve with its structure."""
     return group_structure(curve.points(), curve)
-
-
-def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
-    """Subgroup generated by the given points, with its own canonical labelling."""
-    members = set(cg.points)
-    for g in gens:
-        if g not in members:
-            raise PointNotOnCurve(f"{g} is not in the ambient group")
-    closure = {None}
-    frontier = [None]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = cg.curve.add(base, g)
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return group_structure(list(closure), cg.curve)
 
 
 def _sylow_exponent(curve: Curve, ordered: list[CurvePoint], cofactor: int, q: int, e: int) -> int:

@@ -58,18 +58,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def crt(congruences: list[tuple[int, int]]) -> int:
-    """Solve x = r (mod q) for pairwise-coprime moduli; returns x mod prod(q)."""
-    x, mod = 0, 1
-    for r, q in congruences:
-        if q == 1:
-            continue
-        t = ((r - x) * inv_mod(mod % q, q)) % q
-        x += mod * t
-        mod *= q
-    return x % mod if mod > 1 else 0
-
-
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(matrix)

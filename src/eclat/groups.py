@@ -12,9 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterable
-
-from .exact import crt, factorize
+from typing import Iterable
 
 GroupElement = tuple[int, int]
 
@@ -42,10 +40,6 @@ class AbelianGroup:
         return self.m * self.n
 
     @property
-    def exponent(self) -> int:
-        return lcm(self.m, self.n)
-
-    @property
     def is_canonical(self) -> bool:
         return self.n % self.m == 0
 
@@ -57,26 +51,11 @@ class AbelianGroup:
     def identity(self) -> GroupElement:
         return (0, 0)
 
-    def reduce(self, x: GroupElement) -> GroupElement:
-        return (x[0] % self.m, x[1] % self.n)
-
     def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
         return ((x[0] + y[0]) % self.m, (x[1] + y[1]) % self.n)
 
-    def neg(self, x: GroupElement) -> GroupElement:
-        return (-x[0] % self.m, -x[1] % self.n)
-
-    def element_index(self, x: GroupElement) -> int:
-        """Coordinate of x in the row-major enumeration: a*n + b."""
-        return x[0] * self.n + x[1]
-
-    def element_at(self, index: int) -> GroupElement:
-        if not 0 <= index < self.order:
-            raise IndexError(f"element index {index} out of range for order {self.order}")
-        return divmod(index, self.n)
-
     def weighted_sum(self, terms: Iterable[tuple[int, int]]) -> GroupElement:
-        """The element sum(c * element_at(i)) over the (i, c) terms, read off i as divmod(i, n)."""
+        """The element sum(c * elements()[i]) over the (i, c) terms, element i read off as divmod(i, n)."""
         n = self.n
         wa = wb = 0
         for i, c in terms:
@@ -88,10 +67,6 @@ class AbelianGroup:
         """All elements in index order, identity first."""
         return [(a, b) for a in range(self.m) for b in range(self.n)]
 
-    def element_order(self, x: GroupElement) -> int:
-        a, b = self.reduce(x)
-        return lcm(self.m // gcd(a, self.m), self.n // gcd(b, self.n))
-
     def spec(self) -> str:
         return f"{self.m}x{self.n}"
 
@@ -99,42 +74,13 @@ class AbelianGroup:
 def make_group(m: int, n: int) -> AbelianGroup:
     """Canonical form Z/gcd(m,n) x Z/lcm(m,n) of the product Z/m x Z/n.
 
-    The order m*n is preserved; the CRT re-labelling onto the canonical
-    coordinates is recorded by ``canonical_map``.
+    The order m*n is preserved, and by the Chinese remainder theorem the two
+    groups are isomorphic: each prime's smaller power in m and n goes to the
+    gcd side and the larger to the lcm side.
     """
     if m < 1 or n < 1:
         raise ValueError(f"group shape must be positive, got ({m}, {n})")
     return AbelianGroup(gcd(m, n), lcm(m, n))
-
-
-def canonical_map(m: int, n: int) -> Callable[[GroupElement], GroupElement]:
-    """Group isomorphism from Z/m x Z/n onto make_group(m, n)'s labelling.
-
-    Built prime by prime: for each prime p, the smaller of the two p-power
-    components feeds the gcd side and the larger the lcm side; both sides
-    are then recombined by the Chinese remainder theorem.
-    """
-    target = make_group(m, n)
-    low: list[tuple[int, int]] = []   # (prime power, source side: 0 -> a, 1 -> b)
-    high: list[tuple[int, int]] = []
-    fm, fn = factorize(m), factorize(n)
-    for p in factorize(m * n):
-        pa, pb = p ** fm.get(p, 0), p ** fn.get(p, 0)
-        if pa <= pb:
-            low.append((pa, 0))
-            high.append((pb, 1))
-        else:
-            low.append((pb, 1))
-            high.append((pa, 0))
-
-    def relabel(x: GroupElement) -> GroupElement:
-        a, b = x[0] % m, x[1] % n
-        sides = (a, b)
-        lo = crt([(sides[src] % q, q) for q, src in low])
-        hi = crt([(sides[src] % q, q) for q, src in high])
-        return (lo % target.m, hi % target.n)
-
-    return relabel
 
 
 def canonical_groups_of_order(order: int) -> list[AbelianGroup]:
@@ -159,8 +105,3 @@ def parse_group_spec(spec: str) -> tuple[int, int]:
     if m < 1 or n < 1:
         raise ValueError(f"group spec must have positive factors, got {spec!r}")
     return m, n
-
-
-def format_element(x: GroupElement) -> str:
-    return f"({x[0]},{x[1]})"
-

@@ -16,7 +16,7 @@ from math import comb, gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
+from .errors import BadSize, LengthMismatch, SearchBoundExceeded
 from .exact import det_bareiss, echelon_pivots
 from .groups import AbelianGroup, GroupElement
 
@@ -51,10 +51,6 @@ class Lattice:
     def dim(self) -> int:
         """Ambient dimension N = |P|; the lattice itself has rank N - 1."""
         return self.group.order
-
-    @property
-    def rank(self) -> int:
-        return self.dim - 1
 
     def contains(self, v: Vector) -> bool:
         """Membership: zero coordinate sum and group-weighted sum equal to identity."""
@@ -226,7 +222,13 @@ def _enumerate(
         return nodes
     last = N - 1
     r = isqrt(limit)
-    cands = [sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1)) for t in ts[:last]]
+    # the candidates sorted by cost, and those looped over after a zero prefix (the symmetric search takes
+    # x >= 0 there), built once per distinct target: the coordinates with that target share them, read only
+    by_target: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
+    for t in set(ts[:last]):
+        c = sorted(((D * x - t) ** 2, x) for x in range(-((r - t) // D), (t + r) // D + 1))
+        by_target[t] = (c, [e for e in c if e[1] >= 0] if symmetric else c)
+    cands = [by_target[t] for t in ts[:last]]
     base, near, slope = [0] * N, [0] * N, [0] * N
     b = s = rho_max = 0
     for j in range(last, 0, -1):
@@ -238,12 +240,10 @@ def _enumerate(
     a_last = last // n
     row = (m - 1) * n if n > 1 else -1  # the call that settles the m-part; at m = 1 it always passes
     coords = [0] * N
-    # each coordinate's candidates, those it loops over after a prefix of nonzero and of zero cost (the
-    # symmetric search takes x >= 0 after the zero prefix; at the second-to-last coordinate, one list per
-    # residue mod n), the bounds on the later ones, and its element (a, b)
-    loops = [(c, [e for e in c if e[1] >= 0] if symmetric else c) for c in cands]
-    loops[-1] = tuple([[e for e in c if e[1] % n == k] for k in range(n)] for c in loops[-1])
-    rows = [(cands[i], *loops[i], base[i], near[i], slope[i], *divmod(i, n)) for i in range(last)]
+    # each coordinate's candidates, those it loops over after a prefix of nonzero and of zero cost (at the
+    # second-to-last coordinate, one list per residue mod n), the bounds on the later ones, and its element (a, b)
+    loops = cands[:-1] + [tuple([[e for e in c if e[1] % n == k] for k in range(n)] for c in cands[-1])]
+    rows = [(cands[i][0], *loops[i], base[i], near[i], slope[i], *divmod(i, n)) for i in range(last)]
 
     def dfs(i: int, total: int, wa: int, wb: int, cost: int) -> None:
         nonlocal limit, nodes
@@ -280,13 +280,6 @@ def _enumerate(
     return nodes
 
 
-def divisor_degree(v: Vector) -> int:
-    """Degree of the divisor a zero-sum vector encodes: the sum of its positive entries."""
-    if sum(v) != 0:
-        raise NotInAn("coordinates must sum to zero")
-    return sum(c for c in v if c > 0)
-
-
 def gram_matrix(vectors: list[Vector]) -> list[list[int]]:
     k = len(vectors)
     if k and any(len(v) != len(vectors[0]) for v in vectors):
@@ -318,20 +311,6 @@ def span_rank(vectors: list[Vector]) -> int:
     if any(len(v) != len(vectors[0]) for v in vectors):
         raise ValueError("ragged matrix")
     return len(echelon_pivots([support(v) for v in vectors]))
-
-
-def index_from_generators(vectors: list[Vector]) -> int:
-    """Index in A_{N-1} of the sublattice the vectors generate; 0 when the
-    span has deficient rank."""
-    if not vectors:
-        raise ValueError("need at least one generator")
-    N = len(vectors[0])
-    for v in vectors:
-        if len(v) != N:
-            raise LengthMismatch("vectors must all have the same length")
-        if sum(v) != 0:
-            raise NotInAn("generators must lie in A_{N-1}")
-    return support_index([support(v) for v in vectors], N)
 
 
 def support_index(vectors: list[Support], N: int) -> int:

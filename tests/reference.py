@@ -1,0 +1,69 @@
+"""Independent references the tests check the library against.
+
+``canonical_map`` witnesses that make_group's Z/gcd x Z/lcm is isomorphic to
+Z/m x Z/n; ``subgroup`` generates point sets for group_structure.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from eclat.curves import CurveGroup, CurvePoint, group_structure
+from eclat.exact import factorize, inv_mod
+from eclat.groups import GroupElement, make_group
+
+
+def crt(congruences: list[tuple[int, int]]) -> int:
+    """Solve x = r (mod q) for pairwise-coprime moduli; returns x mod prod(q)."""
+    x, mod = 0, 1
+    for r, q in congruences:
+        if q == 1:
+            continue
+        t = ((r - x) * inv_mod(mod % q, q)) % q
+        x += mod * t
+        mod *= q
+    return x % mod if mod > 1 else 0
+
+
+def canonical_map(m: int, n: int) -> Callable[[GroupElement], GroupElement]:
+    """Group isomorphism from Z/m x Z/n onto make_group(m, n)'s labelling.
+
+    Built prime by prime: for each prime p, the smaller of the two p-power
+    components feeds the gcd side and the larger the lcm side; both sides
+    are then recombined by the Chinese remainder theorem.
+    """
+    target = make_group(m, n)
+    low: list[tuple[int, int]] = []   # (prime power, source side: 0 -> a, 1 -> b)
+    high: list[tuple[int, int]] = []
+    fm, fn = factorize(m), factorize(n)
+    for p in factorize(m * n):
+        pa, pb = p ** fm.get(p, 0), p ** fn.get(p, 0)
+        if pa <= pb:
+            low.append((pa, 0))
+            high.append((pb, 1))
+        else:
+            low.append((pb, 1))
+            high.append((pa, 0))
+
+    def relabel(x: GroupElement) -> GroupElement:
+        a, b = x[0] % m, x[1] % n
+        sides = (a, b)
+        lo = crt([(sides[src] % q, q) for q, src in low])
+        hi = crt([(sides[src] % q, q) for q, src in high])
+        return (lo % target.m, hi % target.n)
+
+    return relabel
+
+
+def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
+    """Subgroup generated by the given points, with its own canonical labelling."""
+    closure = {None}
+    frontier = [None]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = cg.curve.add(base, g)
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return group_structure(list(closure), cg.curve)

@@ -20,7 +20,7 @@ from eclat.geometry import (
     sampled_covering_check,
 )
 from eclat.groups import AbelianGroup, canonical_groups_of_order
-from eclat.lattice import Lattice, gram_report, index_from_generators, span_rank
+from eclat.lattice import Lattice, gram_report, span_rank, support, support_index
 
 SEED = 20260809
 
@@ -153,4 +153,4 @@ def test_criterion_8_index_via_hnf():
     with criterion(8, "index [A_{n-1} : L] = n via HNF"):
         for n in range(5, 13):
             vectors = Lattice(AbelianGroup(1, n)).minimal_vectors()
-            assert index_from_generators(vectors) == n, n
+            assert support_index([support(v) for v in vectors], n) == n, n

@@ -4,16 +4,16 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eclat.errors import BadSize, LengthMismatch, NotInAn, SearchBoundExceeded
+from eclat.errors import BadSize, LengthMismatch, SearchBoundExceeded
 from eclat.groups import AbelianGroup, canonical_groups_of_order
 from eclat.lattice import (
     Lattice,
     dense,
-    divisor_degree,
     gram_report,
-    index_from_generators,
     minimal_quadruples,
     span_rank,
+    support,
+    support_index,
 )
 
 
@@ -39,20 +39,6 @@ def test_contains_rectangular():
     # +(0,0) +(1,3) -(0,3) -(1,0): sums (1,3) on both sides
     assert lat.contains((1, 0, 0, -1, -1, 0, 0, 1))
     assert not lat.contains((1, -1, 0, 0, 0, 0, 0, 0))
-
-
-def test_divisor_degree():
-    assert divisor_degree((1, 1, -1, -1)) == 2
-    assert divisor_degree((0, 0, 0)) == 0
-    assert divisor_degree((2, -1, -1)) == 2
-    with pytest.raises(NotInAn):
-        divisor_degree((1, 0, 0))
-
-
-@given(st.lists(st.integers(-9, 9), min_size=2, max_size=10))
-def test_divisor_degree_is_half_l1(coords):
-    v = tuple(coords) + (-sum(coords),)
-    assert 2 * divisor_degree(v) == sum(abs(c) for c in v)
 
 
 @pytest.mark.parametrize("n,expected", [(7, 4), (3, 6), (2, 8), (4, 4), (12, 4)])
@@ -153,14 +139,16 @@ def test_determinant_sq():
     assert Lattice(AbelianGroup(3, 3)).determinant_sq() == 729
 
 
+def index(vectors, N):
+    return support_index([support(v) for v in vectors], N)
+
+
 def test_index_from_generators_hnf_oracle():
     # valid because the lattice is generated by its minimal vectors for n >= 5
-    assert index_from_generators(cyclic(6).minimal_vectors()) == 6
-    assert index_from_generators(cyclic(9).minimal_vectors()) == 9
+    assert index(cyclic(6).minimal_vectors(), 6) == 6
+    assert index(cyclic(9).minimal_vectors(), 9) == 9
     # rank-deficient generating sets report index 0
-    assert index_from_generators(cyclic(4).minimal_vectors()) == 0
-    with pytest.raises(NotInAn):
-        index_from_generators([(1, 0, 0)])
+    assert index(cyclic(4).minimal_vectors(), 4) == 0
 
 
 @given(st.integers(2, 7), st.data())
@@ -175,7 +163,7 @@ def test_index_matches_gram_determinant(N, data):
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=N - 2, max_size=N - 2))
         heads[-1] = [sum(c * h[i] for c, h in zip(coeffs, heads)) for i in range(N - 1)]
     vs = [tuple(h) + (-sum(h),) for h in heads]
-    assert N * index_from_generators(vs) ** 2 == gram_report(vs).det
+    assert N * index(vs, N) ** 2 == gram_report(vs).det
 
 
 def test_span_rank():
