@@ -48,7 +48,7 @@ CURVE_BASIS_MAX_N = 300
 _JSON_ROWS = ("[", ", ", "]", ", ")
 _PLAIN_ROWS = ("", ",", "\n", "")
 _CSV_ROWS = ("", ",", "\r\n", "")  # the line ends csv.writer writes
-_BATCH_ROWS = 1024
+_BATCH_BYTES = 1 << 16
 
 
 def _encode(value):
@@ -72,29 +72,63 @@ def _emit(args, payload) -> None:
 
 
 def _write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
-    """Write head, one row of N entries per support, then tail, to stdout.
+    """Write head, one row of N integer entries per support, then tail, to stdout.
 
-    Each row fills the support's entries into a reused list of "0" strings;
-    rows are joined and written in batches, so no whole report is held.
+    The zero row pre + sep.join(["0"] * N) + post + between is built once as
+    bytes, so entry x of every row sits at the fixed offset
+    len(pre) + x * (1 + len(sep)). A batch starts as a copy of that row
+    repeated to about _BATCH_BYTES, and each support stores one byte per
+    nonzero entry at its row's offset: the entry's text when that is one
+    character, else a placeholder byte that no zero row and no integer's
+    text contains, expanded to the entry's text with one bytes.replace when
+    the batch is written. The report's last row drops its `between`. A report
+    with more distinct entries of two or more characters than there are
+    placeholder bytes raises ValueError before that batch is written. No
+    whole report is held.
     """
     pre, sep, post, between = row_format
     write = sys.stdout.write
     write(head)
-    cells = ["0"] * N
-    batch: list[str] = []
+    zero_row = (pre + sep.join(["0"] * N) + post + between).encode()
+    stride = len(zero_row)
+    offsets = [len(pre) + x * (1 + len(sep)) for x in range(N)]
+    blank = zero_row * max(1, _BATCH_BYTES // stride)
+    reserved = set(zero_row) | set(b"-0123456789")
+    spare = [b for b in range(256) if b not in reserved]
+    codes: dict[int, int] = {}  # entry -> the byte stored for it
+    expand: list[tuple[bytes, bytes]] = []  # (placeholder, entry text)
+    batch = bytearray(blank)
     lead = ""
+    base = 0  # where the next row starts in the batch
+
+    def flush(end: int) -> None:
+        data = batch[: end - len(between)]
+        for mark, text in expand:
+            data = data.replace(mark, text)
+        write(lead + data.decode())
+
     for v in supports:
         for i, c in v.items():
-            cells[i] = str(c)
-        batch.append(pre + sep.join(cells) + post)
-        for i in v:
-            cells[i] = "0"
-        if len(batch) == _BATCH_ROWS:
-            write(lead + between.join(batch))
-            batch.clear()
+            code = codes.get(c)
+            if code is None:
+                text = str(c).encode()
+                if len(text) == 1:
+                    code = text[0]
+                elif spare:
+                    code = spare.pop()
+                    expand.append((bytes([code]), text))
+                else:
+                    raise ValueError(f"more distinct multi-character entries than the {len(expand)} placeholder bytes")
+                codes[c] = code
+            batch[base + offsets[i]] = code
+        base += stride
+        if base == len(blank):
+            flush(base)
+            batch[:] = blank
             lead = between
-    if batch:
-        write(lead + between.join(batch))
+            base = 0
+    if base:
+        flush(base)
     write(tail)
 
 

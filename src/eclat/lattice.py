@@ -164,7 +164,8 @@ def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
             by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
     quads = [(pos, neg) for pairs in by_sum.values() for pos in pairs for neg in pairs if pos != neg]
     weight = [3 ** (N - 1 - x) for x in range(N)]
-    quads.sort(key=lambda q: weight[q[0][0]] + weight[q[0][1]] - weight[q[1][0]] - weight[q[1][1]])
+    pair_weight = {pair: weight[pair[0]] + weight[pair[1]] for pairs in by_sum.values() for pair in pairs}
+    quads.sort(key=lambda q: pair_weight[q[0]] - pair_weight[q[1]])
     return quads
 
 

@@ -1,11 +1,14 @@
 """Independent references the tests check the library against.
 
 ``canonical_map`` witnesses that make_group's Z/gcd x Z/lcm is isomorphic to
-Z/m x Z/n; ``subgroup`` generates point sets for group_structure.
+Z/m x Z/n; ``subgroup`` generates point sets for group_structure;
+``write_rows`` is the per-cell writer the CLI's byte-template writer must
+match byte for byte.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 from eclat.curves import CurveGroup, CurvePoint, group_structure
@@ -67,3 +70,33 @@ def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
                 closure.add(nxt)
                 frontier.append(nxt)
     return group_structure(list(closure), cg.curve)
+
+
+BATCH_ROWS = 1024
+
+
+def write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
+    """Write head, one row of N entries per support, then tail, to stdout.
+
+    Each row fills the support's entries into a reused list of "0" strings;
+    rows are joined and written in batches, so no whole report is held.
+    """
+    pre, sep, post, between = row_format
+    write = sys.stdout.write
+    write(head)
+    cells = ["0"] * N
+    batch: list[str] = []
+    lead = ""
+    for v in supports:
+        for i, c in v.items():
+            cells[i] = str(c)
+        batch.append(pre + sep.join(cells) + post)
+        for i in v:
+            cells[i] = "0"
+        if len(batch) == BATCH_ROWS:
+            write(lead + between.join(batch))
+            batch.clear()
+            lead = between
+    if batch:
+        write(lead + between.join(batch))
+    write(tail)

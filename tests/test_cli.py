@@ -1,15 +1,28 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
+from reference import write_rows
 
 from eclat.basis import build_minimal_basis
-from eclat.cli import DENSITY_MAX_N, MINVEC_MAX_N, build_parser, main
+from eclat.cli import (
+    _BATCH_BYTES,
+    _CSV_ROWS,
+    _JSON_ROWS,
+    _PLAIN_ROWS,
+    DENSITY_MAX_N,
+    MINVEC_MAX_N,
+    _write_rows,
+    build_parser,
+    main,
+)
 from eclat.groups import canonical_groups_of_order
 from eclat.lattice import Lattice
 
@@ -119,6 +132,55 @@ def test_basis_output_is_the_dense_rendering(capsys, g):
     assert run(capsys, "basis", "--group", g.spec()) == (0, "".join(line + "\n" for line in lines))
 
 
+def captured(writer, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        writer(*args)
+    return out.getvalue().encode()
+
+
+ROW_FORMATS = {"json": _JSON_ROWS, "plain": _PLAIN_ROWS, "csv": _CSV_ROWS}
+ENTRIES = (1, -1, 2, -2, 10, -100)
+
+
+def random_supports(N, count, seed):
+    rng = random.Random(seed)
+    return [{i: rng.choice(ENTRIES) for i in rng.sample(range(N), rng.randint(1, min(N, 4)))} for _ in range(count)]
+
+
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+@pytest.mark.parametrize("N", [1, 2, 97])
+def test_row_writer_matches_the_per_cell_reference(fmt, N):
+    row_format = ROW_FORMATS[fmt]
+    pre, sep, post, between = row_format
+    per_batch = max(1, _BATCH_BYTES // len(pre + sep.join(["0"] * N) + post + between))
+    for count in sorted({0, 1, per_batch - 1, per_batch, per_batch + 1, 3 * per_batch + 2}):
+        supports = random_supports(N, count, seed=count)
+        args = ("head\n", supports, N, row_format, "tail\n")
+        assert captured(_write_rows, *args) == captured(write_rows, *args), count
+
+
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_row_writer_uses_every_placeholder_byte_then_raises(fmt):
+    # a placeholder is any byte outside the zero row and outside integers' text
+    row_format = ROW_FORMATS[fmt]
+    pre, sep, post, between = row_format
+    N = 97
+    spare = 256 - len(set((pre + sep.join(["0"] * N) + post + between).encode()) | set(b"-0123456789"))
+    for count, fits in ((spare, True), (spare + 1, False)):
+        entries = list(range(10, 10 + count))
+        supports = [{i: c for i, c in enumerate(entries[r : r + N])} for r in range(0, count, N)]
+        args = ("head\n", supports, N, row_format, "tail\n")
+        expected = captured(write_rows, *args)
+        if fits:
+            assert captured(_write_rows, *args) == expected
+        else:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(ValueError):
+                _write_rows(*args)
+            assert expected.startswith(out.getvalue().encode())
+
+
 def test_verify(capsys):
     assert run(capsys, "verify", "--group", "3x6", "--json")[0] == 0
     assert run(capsys, "verify", "--group", "1x4", "--json")[0] == 0
@@ -181,6 +243,10 @@ SEARCH_DIGESTS = {
     "oracle": "d16b3324b165f8ccb985a725dfb566418ca38b8bad47a18a9c6472f2d7aa540b",
     "covering": "d188943439c207bb2dd7b80910f63d7a5880264ccf87cb175bc56d5647ff07aa",
 }
+# sha256 of the concatenated stdout, recorded from the per-cell row writer (reference.write_rows)
+REPORT_DIGESTS = {
+    "vectors": "5694d31e5e5994482769757aa4731e8f421ae36cb15fb7ace8bca83b04101465",
+}
 
 
 def test_search_outputs_match_recorded_digests(capsys):
@@ -202,6 +268,25 @@ def test_search_outputs_match_recorded_digests(capsys):
             assert code == 0, argv
             digest.update(out.encode())
         assert digest.hexdigest() == SEARCH_DIGESTS[name], name
+
+
+def test_vector_reports_match_recorded_digests(capsys):
+    # reports above N = 24 in every row format, up to the certify workload's largest basis
+    argvs = [
+        ("minvec", "--group", "1x48", "--json"),
+        ("minvec", "--group", "2x32", "--json"),
+        ("minvec", "--group", "4x16"),
+        ("basis", "--group", "5x50", "--json"),
+        ("basis", "--group", "5x50", "--csv"),
+        ("basis", "--group", "5x50"),
+        ("basis", "--group", "1x300", "--json"),
+    ]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == REPORT_DIGESTS["vectors"]
 
 
 def test_curve_pipeline(capsys):
