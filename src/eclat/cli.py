@@ -23,19 +23,20 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable
 
 from . import basis as basis_mod
 from . import curves, geometry
 from .errors import BadSize, CurveTooLarge, EclatError, SearchBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
-from .lattice import Lattice, minimal_quadruples, span_rank, support
+from .lattice import Lattice, Quadruple, minimal_quadruples, quadruple, span_rank, support
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
 # basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4)
 BASIS_MAX_N = 10_200
 # the Hasse bound N <= p + 1 + 2 sqrt(p) (Washington, thm. 4.2) at curves.MAX_P, so verify certifies
-# the group of every curve that curve admits: about 1 s and 140 MB at N = 100633
+# the group of every curve that curve admits: about 2 s and 100 MB at N = 100633
 VERIFY_MAX_N = curves.MAX_P + 1 + isqrt(4 * curves.MAX_P)
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
@@ -71,20 +72,19 @@ def _emit(args, payload) -> None:
                 print(f"{key}: {value}")
 
 
-def _write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
-    """Write head, one row of N integer entries per support, then tail, to stdout.
+def _write_rows(head: str, rows: Iterable[Quadruple], N: int, row_format, tail: str) -> None:
+    """Write head, one row of N integer entries per quadruple ((a, b), (c, d)),
+    the vector e_a + e_b - e_c - e_d, then tail, to stdout.
 
     The zero row pre + sep.join(["0"] * N) + post + between is built once as
     bytes, so entry x of every row sits at the fixed offset
     len(pre) + x * (1 + len(sep)). A batch starts as a copy of that row
-    repeated to about _BATCH_BYTES, and each support stores one byte per
-    nonzero entry at its row's offset: the entry's text when that is one
-    character, else a placeholder byte that no zero row and no integer's
-    text contains, expanded to the entry's text with one bytes.replace when
-    the batch is written. The report's last row drops its `between`. A report
-    with more distinct entries of two or more characters than there are
-    placeholder bytes raises ValueError before that batch is written. No
-    whole report is held.
+    repeated to about _BATCH_BYTES, and each quadruple makes four byte stores
+    at its row's offsets: "1" at a and at b, or "2" when a = b, and at c and
+    at d the placeholder byte of -1, or of -2 when c = d. No zero row holds
+    either placeholder, and each is expanded to its entry's text with one
+    bytes.replace when the batch is written. The report's last row drops its
+    `between`. No whole report is held.
     """
     pre, sep, post, between = row_format
     write = sys.stdout.write
@@ -93,34 +93,20 @@ def _write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
     stride = len(zero_row)
     offsets = [len(pre) + x * (1 + len(sep)) for x in range(N)]
     blank = zero_row * max(1, _BATCH_BYTES // stride)
-    reserved = set(zero_row) | set(b"-0123456789")
-    spare = [b for b in range(256) if b not in reserved]
-    codes: dict[int, int] = {}  # entry -> the byte stored for it
-    expand: list[tuple[bytes, bytes]] = []  # (placeholder, entry text)
     batch = bytearray(blank)
     lead = ""
     base = 0  # where the next row starts in the batch
+    one, two, minus_one, minus_two = b"12\x01\x02"  # the last two are the placeholders
 
     def flush(end: int) -> None:
-        data = batch[: end - len(between)]
-        for mark, text in expand:
-            data = data.replace(mark, text)
+        data = batch[: end - len(between)].replace(b"\x01", b"-1").replace(b"\x02", b"-2")
         write(lead + data.decode())
 
-    for v in supports:
-        for i, c in v.items():
-            code = codes.get(c)
-            if code is None:
-                text = str(c).encode()
-                if len(text) == 1:
-                    code = text[0]
-                elif spare:
-                    code = spare.pop()
-                    expand.append((bytes([code]), text))
-                else:
-                    raise ValueError(f"more distinct multi-character entries than the {len(expand)} placeholder bytes")
-                codes[c] = code
-            batch[base + offsets[i]] = code
+    for (a, b), (c, d) in rows:
+        batch[base + offsets[a]] = one
+        batch[base + offsets[b]] = one if a != b else two
+        batch[base + offsets[c]] = minus_one
+        batch[base + offsets[d]] = minus_one if c != d else minus_two
         base += stride
         if base == len(blank):
             flush(base)
@@ -132,18 +118,18 @@ def _write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
     write(tail)
 
 
-def _emit_vectors(args, fields: dict, title: str, supports, N: int) -> None:
+def _emit_vectors(args, fields: dict, title: str, rows: Iterable[Quadruple], N: int) -> None:
     """Print fields and vectors: under --json one object with sorted keys,
     "vectors" last; under --csv the rows alone; else the title line, then
     one comma-separated row per vector."""
     if args.json:
         # json.dumps(payload, sort_keys=True) with the vector list streamed in
         head = json.dumps(fields, sort_keys=True)[:-1] + ', "vectors": ['
-        _write_rows(head, supports, N, _JSON_ROWS, "]}\n")
+        _write_rows(head, rows, N, _JSON_ROWS, "]}\n")
     elif args.csv:
-        _write_rows("", supports, N, _CSV_ROWS, "")
+        _write_rows("", rows, N, _CSV_ROWS, "")
     else:
-        _write_rows(title + "\n", supports, N, _PLAIN_ROWS, "")
+        _write_rows(title + "\n", rows, N, _PLAIN_ROWS, "")
 
 
 def _group_arg(spec: str) -> AbelianGroup:
@@ -217,7 +203,7 @@ def cmd_basis(args) -> int:
     if result.kind == "exceptional_cyclic_4":
         fields["span_rank"] = span_rank(Lattice(g).minimal_vectors())
     title = f"group {g.spec()}: kind {result.kind}, certified {result.certified}"
-    _emit_vectors(args, fields, title, result.supports, g.order)
+    _emit_vectors(args, fields, title, list(map(quadruple, result.supports)), g.order)
     if not result.accepted:
         print(f"certification failed for {g.spec()}", file=sys.stderr)
         return 1
@@ -231,16 +217,13 @@ def cmd_minvec(args) -> int:
     lat = Lattice(g)
     min_dist_sq = lat.minimal_distance_sq()
     if N >= 4:
-        quads = minimal_quadruples(g)
-        count = len(quads)
-        supports = ({i: 1, j: 1, k: -1, l: -1} for (i, j), (k, l) in quads)
+        rows = minimal_quadruples(g)
     else:
-        vectors = lat.minimal_vectors()
-        count = len(vectors)
-        supports = map(support, vectors)
+        rows = [quadruple(support(v)) for v in lat.minimal_vectors()]
+    count = len(rows)
     fields = {"group": g.spec(), "N": N, "min_dist_sq": min_dist_sq, "count": count}
     title = f"group {g.spec()}: {count} minimal vectors, norm^2 {min_dist_sq}"
-    _emit_vectors(args, fields, title, supports, N)
+    _emit_vectors(args, fields, title, rows, N)
     return 0
 
 

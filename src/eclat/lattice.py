@@ -307,6 +307,27 @@ def dense(v: Support, N: int) -> Vector:
     return tuple(out)
 
 
+def quadruple(v: Support) -> Quadruple:
+    """The support of e_a + e_b - e_c - e_d as ((a, b), (c, d)), with a = b
+    for an entry 2 and c = d for an entry -2; ValueError for any other support."""
+    pos: list[int] = []
+    neg: list[int] = []
+    for i, c in v.items():
+        if c == 1:
+            pos.append(i)
+        elif c == -1:
+            neg.append(i)
+        elif c == 2:
+            pos += (i, i)
+        elif c == -2:
+            neg += (i, i)
+        else:
+            raise ValueError(f"{v} is not the support of e_a + e_b - e_c - e_d")
+    if len(pos) != 2 or len(neg) != 2:
+        raise ValueError(f"{v} is not the support of e_a + e_b - e_c - e_d")
+    return (pos[0], pos[1]), (neg[0], neg[1])
+
+
 def span_rank(vectors: list[Vector]) -> int:
     """Rank over the rationals of the span of the vectors."""
     if any(len(v) != len(vectors[0]) for v in vectors):

@@ -11,6 +11,7 @@ import time
 import pytest
 from reference import write_rows
 
+from eclat import cli
 from eclat.basis import build_minimal_basis
 from eclat.cli import (
     _BATCH_BYTES,
@@ -23,8 +24,8 @@ from eclat.cli import (
     build_parser,
     main,
 )
-from eclat.groups import canonical_groups_of_order
-from eclat.lattice import Lattice
+from eclat.groups import canonical_groups_of_order, make_group, parse_group_spec
+from eclat.lattice import Lattice, quadruple, support
 
 SMALL_GROUPS = [g for N in range(2, 25) for g in canonical_groups_of_order(N)]
 
@@ -140,45 +141,72 @@ def captured(writer, *args):
 
 
 ROW_FORMATS = {"json": _JSON_ROWS, "plain": _PLAIN_ROWS, "csv": _CSV_ROWS}
-ENTRIES = (1, -1, 2, -2, 10, -100)
 
 
-def random_supports(N, count, seed):
+def random_quadruples(N, count, seed):
+    # a = b gives the entry 2 and c = d the entry -2; {a, b} and {c, d} never meet
     rng = random.Random(seed)
-    return [{i: rng.choice(ENTRIES) for i in rng.sample(range(N), rng.randint(1, min(N, 4)))} for _ in range(count)]
+    shapes = [(a_is_b, c_is_d) for a_is_b in (False, True) for c_is_d in (False, True) if 4 - a_is_b - c_is_d <= N]
+    rows = []
+    for _ in range(count):
+        a_is_b, c_is_d = rng.choice(shapes)
+        picks = iter(rng.sample(range(N), 4 - a_is_b - c_is_d))
+        a = next(picks)
+        b = a if a_is_b else next(picks)
+        c = next(picks)
+        d = c if c_is_d else next(picks)
+        rows.append(((a, b), (c, d)))
+    return rows
+
+
+def as_support(row):
+    (a, b), (c, d) = row
+    v = {}
+    for i, unit in ((a, 1), (b, 1), (c, -1), (d, -1)):
+        v[i] = v.get(i, 0) + unit
+    return v
 
 
 @pytest.mark.parametrize("fmt", ROW_FORMATS)
-@pytest.mark.parametrize("N", [1, 2, 97])
+@pytest.mark.parametrize("N", [2, 3, 97])
 def test_row_writer_matches_the_per_cell_reference(fmt, N):
     row_format = ROW_FORMATS[fmt]
     pre, sep, post, between = row_format
     per_batch = max(1, _BATCH_BYTES // len(pre + sep.join(["0"] * N) + post + between))
     for count in sorted({0, 1, per_batch - 1, per_batch, per_batch + 1, 3 * per_batch + 2}):
-        supports = random_supports(N, count, seed=count)
-        args = ("head\n", supports, N, row_format, "tail\n")
-        assert captured(_write_rows, *args) == captured(write_rows, *args), count
+        rows = random_quadruples(N, count, seed=count)
+        expected = captured(write_rows, "head\n", map(as_support, rows), N, row_format, "tail\n")
+        assert captured(_write_rows, "head\n", rows, N, row_format, "tail\n") == expected, count
 
 
-@pytest.mark.parametrize("fmt", ROW_FORMATS)
-def test_row_writer_uses_every_placeholder_byte_then_raises(fmt):
-    # a placeholder is any byte outside the zero row and outside integers' text
-    row_format = ROW_FORMATS[fmt]
-    pre, sep, post, between = row_format
-    N = 97
-    spare = 256 - len(set((pre + sep.join(["0"] * N) + post + between).encode()) | set(b"-0123456789"))
-    for count, fits in ((spare, True), (spare + 1, False)):
-        entries = list(range(10, 10 + count))
-        supports = [{i: c for i, c in enumerate(entries[r : r + N])} for r in range(0, count, N)]
-        args = ("head\n", supports, N, row_format, "tail\n")
-        expected = captured(write_rows, *args)
-        if fits:
-            assert captured(_write_rows, *args) == expected
-        else:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), pytest.raises(ValueError):
-                _write_rows(*args)
-            assert expected.startswith(out.getvalue().encode())
+@pytest.mark.parametrize(
+    "v", [{0: 3, 1: -1, 2: -2}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1}, {}], ids=["entry-3", "three-positive", "empty"]
+)
+def test_quadruple_refuses_other_supports(v):
+    with pytest.raises(ValueError, match="not the support of"):
+        quadruple(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("basis", "--group", spec, *fmt) for spec in ("1x2", "1x3", "1x4") for fmt in (("--json",), ("--csv",), ())]
+    + [("minvec", "--group", spec, *fmt) for spec in ("1x2", "1x3") for fmt in (("--json",), ())],
+    ids=" ".join,
+)
+def test_reports_with_entries_two_match_the_per_cell_reference(capsys, monkeypatch, argv):
+    # the only reports whose rows carry +-2: N = 2 and 3, and the cyclic-4 fallback basis
+    g = make_group(*parse_group_spec(argv[2]))
+    dense_vectors = build_minimal_basis(g).vectors if argv[0] == "basis" else Lattice(g).minimal_vectors()
+    assert any(2 in map(abs, v) for v in dense_vectors)
+    written = run(capsys, *argv)
+
+    def reference(head, rows, N, row_format, tail):
+        assert len(list(rows)) == len(dense_vectors)
+        write_rows(head, [support(v) for v in dense_vectors], N, row_format, tail)
+
+    monkeypatch.setattr(cli, "_write_rows", reference)
+    assert written == run(capsys, *argv)
+    assert written[0] == 0
 
 
 def test_verify(capsys):
