@@ -2,6 +2,8 @@
 
 ``canonical_map`` witnesses that make_group's Z/gcd x Z/lcm is isomorphic to
 Z/m x Z/n; ``subgroup`` generates point sets for group_structure;
+``full_walk_points`` labels a curve group with one chord addition per point,
+which group_structure's walk with negated half rows must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
 match byte for byte.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
-from eclat.curves import CurveGroup, CurvePoint, group_structure
+from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
 from eclat.exact import factorize, inv_mod
 from eclat.groups import GroupElement, make_group
 
@@ -70,6 +72,19 @@ def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
                 closure.add(nxt)
                 frontier.append(nxt)
     return group_structure(list(closure), cg.curve)
+
+
+def full_walk_points(curve: Curve, n1: int, n2: int, g1: CurvePoint, g2: CurvePoint) -> tuple[CurvePoint, ...]:
+    """The points a*g1 + b*g2 in row-major (a, b) order, each row walked in full by curve.add."""
+    indexed: list[CurvePoint] = []
+    row_start: CurvePoint = None
+    for _ in range(n1):
+        pt = row_start
+        for _ in range(n2):
+            indexed.append(pt)
+            pt = curve.add(pt, g2)
+        row_start = curve.add(row_start, g1)
+    return tuple(indexed)
 
 
 BATCH_ROWS = 1024

@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from reference import write_rows
+from reference import full_walk_points, write_rows
 
 from eclat import cli
 from eclat.basis import build_minimal_basis
@@ -24,6 +24,7 @@ from eclat.cli import (
     build_parser,
     main,
 )
+from eclat.curves import Curve, curve_group
 from eclat.groups import canonical_groups_of_order, make_group, parse_group_spec
 from eclat.lattice import Lattice, quadruple, support
 
@@ -275,6 +276,28 @@ SEARCH_DIGESTS = {
 REPORT_DIGESTS = {
     "vectors": "5694d31e5e5994482769757aa4731e8f421ae36cb15fb7ace8bca83b04101465",
 }
+# p,a,b near 10^4 with n1 = 1 (n2 odd and even), 2, 3 (n2 odd and even), 4, 6 and 13, so rows that are their
+# own negation (row 0, row n1/2) and rows that are not both occur; three small primes whose basis is
+# certified; and the largest admitted prime
+DIGEST_CURVES = (
+    "10009,2201,9325",
+    "10009,1033,4179",
+    "10009,34,7297",
+    "10009,6591,4609",
+    "10009,7090,9952",
+    "10037,1640,3401",
+    "10009,5263,6984",
+    "10037,4370,5978",
+    "13,2,2",
+    "149,17,4",
+    "151,22,3",
+    "99991,2,3",
+)
+# sha256 over repr((argv, stdout, stderr, exit code)) of `curve --curve <spec> --json` for each of DIGEST_CURVES,
+# recorded from the labelling that walked every row in full (reference.full_walk_points)
+CURVE_DIGESTS = {
+    "curve": "8fbb56b351a74969a655b7d6cae09ee5e933ebd2c3105c94e16bcf2d5696d36c",
+}
 
 
 def test_search_outputs_match_recorded_digests(capsys):
@@ -315,6 +338,22 @@ def test_vector_reports_match_recorded_digests(capsys):
         assert code == 0, argv
         digest.update(out.encode())
     assert digest.hexdigest() == REPORT_DIGESTS["vectors"]
+
+
+def test_curve_outputs_match_recorded_digests(capsys):
+    digest = hashlib.sha256()
+    for spec in DIGEST_CURVES:
+        argv = ("curve", "--curve", spec, "--json")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        digest.update(repr((argv, captured.out, captured.err, code)).encode())
+    assert digest.hexdigest() == CURVE_DIGESTS["curve"]
+
+
+@pytest.mark.parametrize("spec", DIGEST_CURVES)
+def test_curve_labelling_matches_full_walk(spec):
+    cg = curve_group(Curve(*map(int, spec.split(","))))
+    assert cg.points == full_walk_points(cg.curve, cg.structure.m, cg.structure.n, *cg.generators)
 
 
 def test_curve_pipeline(capsys):

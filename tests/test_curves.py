@@ -42,12 +42,22 @@ def test_addition_table_abelian_and_associative():
                 assert c.add(c.add(P, Q), R) == c.add(P, c.add(Q, R))
 
 
+# (a, b) per prime; y^2 = x^3 + x has three roots x at each of these p = 1 mod 4, so y = 0 occurs three times
+POINTS_CURVES = {
+    5: [(1, 0), (0, 1), (1, 1), (2, 1)],
+    13: [(1, 0), (2, 2), (0, 5), (7, 11)],
+    101: [(1, 0), (21, 89), (0, 3), (100, 0)],
+    1009: [(1, 0), (2, 3), (0, 7)],
+}
+
+
 def test_curve_points_brute_force_count():
-    c = Curve(5, 0, 1)  # y^2 = x^3 + 1
-    pts = c.points()
-    expected = {(x, y) for x in range(5) for y in range(5) if (y * y - x**3 - 1) % 5 == 0}
-    assert set(pts) == expected | {None}
-    assert len(pts) == 6
+    # every point once and in order: infinity, then (x, y) ascending
+    for p, params in POINTS_CURVES.items():
+        for a, b in params:
+            on_curve = sorted((x, y) for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0)
+            assert Curve(p, a, b).points() == [None, *on_curve], (p, a, b)
+        assert sum(pt[1] == 0 for pt in Curve(p, 1, 0).points()[1:]) == 3
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -281,6 +291,15 @@ def test_group_structure_rejects_non_group():
     P = next(pt for pt in c.points() if pt is not None and c.add(pt, pt) is not None)
     with pytest.raises(InternalInconsistency):
         group_structure([None, P], c)
+
+
+def test_group_structure_rejects_points_off_the_curve():
+    c = Curve(101, 21, 89)
+    message = r"^\(0, 1\) is not on y\^2 = x\^3 \+ 21x \+ 89 over F_101$"
+    with pytest.raises(PointNotOnCurve, match=message):
+        group_structure([None, (0, 1)], c)
+    with pytest.raises(PointNotOnCurve, match=message):
+        group_structure([*c.points(), (0, 1)], c)
 
 
 def _closed(curve, pts):
