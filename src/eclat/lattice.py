@@ -339,8 +339,11 @@ def support_index(vectors: list[Support], N: int) -> int:
     """Index in A_{N-1} of the sublattice that zero-sum supports generate.
 
     Dropping the last coordinate maps A_{N-1} isomorphically onto Z^{N-1},
-    so the index is the product of the echelon pivots of the vectors without
-    their last coordinate. Returns 0 when the span has deficient rank.
+    so the index is that of the vectors without their last coordinate in
+    Z^{N-1}. echelon_pivots pivots each row on its largest column; its pivot
+    rows are triangular in reversed column order and generate the same span,
+    so with N-1 pivots the index is their product. Returns 0 when the span
+    has deficient rank.
     """
     pivots = echelon_pivots([{i: c for i, c in v.items() if i != N - 1} for v in vectors])
     return prod(pivots) if len(pivots) == N - 1 else 0

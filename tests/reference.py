@@ -5,7 +5,9 @@ Z/m x Z/n; ``subgroup`` generates point sets for group_structure;
 ``full_walk_points`` labels a curve group with one chord addition per point,
 which group_structure's walk with negated half rows must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
-match byte for byte.
+match byte for byte; ``verification_report`` certifies a basis from dense
+vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
+with its sparse echelon index, must match.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
+from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
-from eclat.exact import factorize, inv_mod
-from eclat.groups import GroupElement, make_group
+from eclat.exact import det_bareiss, factorize, inv_mod
+from eclat.groups import AbelianGroup, GroupElement, make_group
+from eclat.lattice import Lattice, Support, dense, gram_matrix
 
 
 def crt(congruences: list[tuple[int, int]]) -> int:
@@ -115,3 +119,27 @@ def write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
     if batch:
         write(lead + between.join(batch))
     write(tail)
+
+
+def verification_report(group: AbelianGroup, supports: list[Support]) -> VerificationReport:
+    """The report verify_basis must give for at most N-1 vectors, by the report's rules.
+
+    gram_det_sq is 0 when a vector lies outside the lattice or there are fewer
+    than N-1 vectors (the rank is short), and otherwise the Bareiss
+    determinant of the dense Gram matrix, which is itself 0 for a short rank.
+    """
+    N = group.order
+    if len(supports) > N - 1:
+        raise ValueError("more than N-1 vectors have no Gram determinant to compare")
+    lat = Lattice(group)
+    vectors = [dense(v, N) for v in supports]
+    in_lattice = all(lat.contains(v) for v in vectors)
+    min_sq = lat.minimal_distance_sq()
+    det = det_bareiss(gram_matrix(vectors)) if in_lattice and len(vectors) == N - 1 else 0
+    return VerificationReport(
+        all_in_lattice=in_lattice,
+        all_minimal=all(sum(c * c for c in v) == min_sq for v in vectors),
+        count_ok=len(vectors) == N - 1,
+        gram_det_sq_ok=det == N**3,
+        gram_det_sq=det,
+    )
