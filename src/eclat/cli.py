@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Iterable
 
@@ -36,8 +37,8 @@ DEFAULT_TRIALS = 50
 # basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4)
 BASIS_MAX_N = 10_200
 # the Hasse bound N <= p + 1 + 2 sqrt(p) (Washington, thm. 4.2) at curves.MAX_P, so verify certifies
-# the group of every curve that curve admits: 0.9 to 1.6 s and about 100 MB at N = 100633, 1.3 to 2.2 s at
-# 2x50000, 316x316 and 4x25000 (whole-process runs, 2-core VM, Python 3.11)
+# the group of every curve that curve admits: 0.9 to 1.2 s and about 100 MB at N = 100633, 0.8 to 1.7 s at
+# 2x50000, 316x316 and 4x25000 (ten whole-process runs each, 2-core VM, Python 3.11)
 VERIFY_MAX_N = curves.MAX_P + 1 + isqrt(4 * curves.MAX_P)
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
@@ -316,7 +317,10 @@ def cmd_curve(args) -> int:
     return 0 if result is None or result.accepted else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns a
+    fresh Namespace on every call and changes no default, so main reuses it."""
     parser = argparse.ArgumentParser(prog="eclat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

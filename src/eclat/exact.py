@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import InternalInconsistency
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and g >= 0."""
@@ -100,6 +102,14 @@ def echelon_pivots(rows: list[dict[int, int]]) -> list[int]:
     and its determinant, the product of the pivots, is the index of that
     span in Z^k. On the sparse quadruples of a minimal-vector basis, the
     largest column takes about half the row operations of the smallest.
+
+    When the pivot is 1 and the row's entry b is +-1, the commonest case on
+    these bases, the pivot row is kept and the row becomes row - b * pivot
+    row: one row operation and no xgcd. The step is unimodular and clears
+    the column, like the xgcd step, so the number of pivots and their
+    product, the rank and the index, do not change. Every row operation
+    must clear the column; one that does not is a bug and raises
+    InternalInconsistency, since the row would never settle.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for vec in rows:
@@ -110,9 +120,14 @@ def echelon_pivots(rows: list[dict[int, int]]) -> list[int]:
                 pivot_rows[c] = vec if vec[c] > 0 else {k: -x for k, x in vec.items()}
                 break
             a, b = row[c], vec[c]
-            g, x, y = xgcd(a, b)
-            pivot_rows[c] = _combine(x, row, y, vec)
-            vec = _combine(-(b // g), row, a // g, vec)
+            if a == 1 and (b == 1 or b == -1):
+                vec = _combine(-b, row, 1, vec)
+            else:
+                g, x, y = xgcd(a, b)
+                pivot_rows[c] = _combine(x, row, y, vec)
+                vec = _combine(-(b // g), row, a // g, vec)
+            if c in vec:
+                raise InternalInconsistency(f"a row operation left column {c} nonzero")
     return [pivot_rows[c][c] for c in sorted(pivot_rows)]
 
 

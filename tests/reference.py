@@ -7,7 +7,9 @@ which group_structure's walk with negated half rows must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
 match byte for byte; ``verification_report`` certifies a basis from dense
 vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
-with its sparse echelon index, must match.
+with its sparse echelon index, must match; ``echelon_pivots_xgcd`` is the
+echelon with an xgcd step for every row operation, whose pivot count and
+product exact.echelon_pivots, with its unit-pivot step, must match.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
-from eclat.exact import det_bareiss, factorize, inv_mod
+from eclat.exact import det_bareiss, factorize, inv_mod, xgcd
 from eclat.groups import AbelianGroup, GroupElement, make_group
 from eclat.lattice import Lattice, Support, dense, gram_matrix
 
@@ -143,3 +145,30 @@ def verification_report(group: AbelianGroup, supports: list[Support]) -> Verific
         gram_det_sq_ok=det == N**3,
         gram_det_sq=det,
     )
+
+
+def echelon_pivots_xgcd(rows: list[dict[int, int]]) -> list[int]:
+    """Positive pivots, in column order, of an integer echelon form of sparse rows.
+
+    Each row is pivoted on its largest column, and every row operation is the
+    xgcd step: the pivot row becomes x * row + y * vec, with a*x + b*y = g, and
+    vec becomes -(b/g) * row + (a/g) * vec, which clears the column.
+    """
+
+    def combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:
+        out = {c: p * u.get(c, 0) + q * v.get(c, 0) for c in u.keys() | v.keys()}
+        return {c: x for c, x in out.items() if x}
+
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for vec in rows:
+        while vec:
+            c = max(vec)
+            row = pivot_rows.get(c)
+            if row is None:
+                pivot_rows[c] = vec if vec[c] > 0 else {k: -x for k, x in vec.items()}
+                break
+            a, b = row[c], vec[c]
+            g, x, y = xgcd(a, b)
+            pivot_rows[c] = combine(x, row, y, vec)
+            vec = combine(-(b // g), row, a // g, vec)
+    return [pivot_rows[c][c] for c in sorted(pivot_rows)]

@@ -377,6 +377,34 @@ def test_usage_errors(capsys):
     assert run(capsys, "density", "--from", "1", "--to", "5")[0] == 2
 
 
+REUSE_SEQUENCE = [
+    ("basis", "--group", "1x7", "--csv"),
+    ("basis", "--group", "1x7", "--json"),
+    ("basis", "--group", "1x7"),
+    ("basis", "--group", "1x7", "--csv", "--json"),  # usage error: exclusive formats
+    ("covering", "--group", "1x5", "--trials", "3"),
+    ("covering", "--group", "1x5"),
+]
+
+
+def test_main_reuses_one_parser_and_carries_nothing_over(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+
+    def outputs():
+        out = []
+        for argv in REUSE_SEQUENCE:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    reused = outputs()
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
+    # the same calls, each with a parser built afresh
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == reused
+
+
 def test_density_range_error_is_the_library_message(capsys):
     assert main(["density", "--from", "5", "--to", "4"]) == 2
     assert capsys.readouterr() == ("", "error: need 4 <= n_min <= n_max, got [5, 4]\n")
