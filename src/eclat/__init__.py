@@ -7,10 +7,7 @@ from .basis import (
     VerificationReport,
     build_minimal_basis,
     cyclic_basis,
-    explicit_small_basis,
-    klein_basis,
     rect_basis,
-    small_cyclic_basis,
     verify_basis,
 )
 from .curves import Curve, CurveGroup, CurvePoint, curve_group, group_structure
@@ -73,10 +70,8 @@ __all__ = [
     "cyclic_basis",
     "deep_hole_An",
     "dense",
-    "explicit_small_basis",
     "gram_report",
     "group_structure",
-    "klein_basis",
     "make_group",
     "mh_window_scan",
     "minimal_quadruples",
@@ -85,7 +80,6 @@ __all__ = [
     "rect_basis",
     "retract",
     "sampled_covering_check",
-    "small_cyclic_basis",
     "span_rank",
     "support",
     "verify_basis",

@@ -65,6 +65,17 @@ _EXPLICIT_4X4: tuple[Vector, ...] = (
     (1, 0, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
 )
 
+# The shapes that neither cyclic_basis nor rect_basis covers: {(m, n): (kind, basis as dense rows)}
+SMALL_BASES: dict[tuple[int, int], tuple[str, tuple[Vector, ...]]] = {
+    (1, 2): ("cyclic_small_2", ((-2, 2),)),
+    (1, 3): ("cyclic_small_3", ((-2, 1, 1), (1, -2, 1))),
+    (1, 4): ("exceptional_cyclic_4", CYCLIC4_FALLBACK),
+    (2, 2): ("klein_2x2", ((-1, 1, 1, -1), (-1, 1, -1, 1), (-1, -1, 1, 1))),  # orthogonal: Gram matrix 4*I
+    (2, 4): ("explicit_2x4", _EXPLICIT_2X4),
+    (3, 3): ("explicit_3x3", _EXPLICIT_3X3),
+    (4, 4): ("explicit_4x4", _EXPLICIT_4X4),
+}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -135,29 +146,6 @@ def cyclic_basis(n: int) -> list[Support]:
     return rows
 
 
-def small_cyclic_basis(n: int) -> list[Support]:
-    """Minimal-vector basis for the cyclic groups of order 2 and 3."""
-    if n == 2:
-        return [{0: -2, 1: 2}]
-    if n == 3:
-        return [{0: -2, 1: 1, 2: 1}, {0: 1, 1: -2, 2: 1}]
-    raise BadSize(f"small cyclic construction is for n in {{2, 3}}, got {n}")
-
-
-def klein_basis() -> list[Support]:
-    """Orthogonal minimal-vector basis for Z/2 x Z/2 (Gram matrix 4*I)."""
-    return [{0: -1, 1: 1, 2: 1, 3: -1}, {0: -1, 1: 1, 2: -1, 3: 1}, {0: -1, 1: -1, 2: 1, 3: 1}]
-
-
-def explicit_small_basis(shape: tuple[int, int]) -> list[Support]:
-    """Verbatim minimal-vector bases for the shapes (2,4), (3,3) and (4,4)."""
-    table = {(2, 4): _EXPLICIT_2X4, (3, 3): _EXPLICIT_3X3, (4, 4): _EXPLICIT_4X4}
-    try:
-        return [support(v) for v in table[shape]]
-    except KeyError:
-        raise BadShape(f"no explicit table for shape {shape}") from None
-
-
 def rect_basis(m: int, n: int) -> list[Support]:
     """Minimal-vector basis for Z/m x Z/n assembled from the cyclic pattern.
 
@@ -226,16 +214,11 @@ def build_minimal_basis(group: AbelianGroup) -> BasisResult:
     Lattice(group)  # refuses a group of order 1
     if not group.is_canonical:
         raise BadShape(f"dispatch needs a canonical shape with m | n, got ({m}, {n})")
-    if (m, n) == (1, 4):
-        kind, vectors = "exceptional_cyclic_4", [support(v) for v in CYCLIC4_FALLBACK]
-    elif m == 1 and n in (2, 3):
-        kind, vectors = f"cyclic_small_{n}", small_cyclic_basis(n)
+    if (m, n) in SMALL_BASES:
+        kind, rows = SMALL_BASES[m, n]
+        vectors = [support(v) for v in rows]
     elif m == 1:
         kind, vectors = "cyclic_basis1", cyclic_basis(n)
-    elif (m, n) == (2, 2):
-        kind, vectors = "klein_2x2", klein_basis()
-    elif (m, n) in ((2, 4), (3, 3), (4, 4)):
-        kind, vectors = f"explicit_{m}x{n}", explicit_small_basis((m, n))
     else:
         kind, vectors = (f"rect_{m}xn" if m <= 4 else "rect_mxn"), rect_basis(m, n)
     return BasisResult(kind, group.order, tuple(vectors), verify_basis(group, vectors))

@@ -30,7 +30,7 @@ from . import basis as basis_mod
 from . import curves, geometry
 from .errors import BadSize, CurveTooLarge, EclatError, SearchBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
-from .lattice import Lattice, Quadruple, minimal_quadruples, quadruple, span_rank, support
+from .lattice import Lattice, Quadruple, minimal_quadruples, quadruple, span_rank
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
@@ -218,10 +218,7 @@ def cmd_minvec(args) -> int:
     _refuse_above(g, MINVEC_MAX_N, "minvec", "its report takes about 0.7 N^4 bytes")
     lat = Lattice(g)
     min_dist_sq = lat.minimal_distance_sq()
-    if N >= 4:
-        rows = minimal_quadruples(g)
-    else:
-        rows = [quadruple(support(v)) for v in lat.minimal_vectors()]
+    rows = minimal_quadruples(g)
     count = len(rows)
     fields = {"group": g.spec(), "N": N, "min_dist_sq": min_dist_sq, "count": count}
     title = f"group {g.spec()}: {count} minimal vectors, norm^2 {min_dist_sq}"

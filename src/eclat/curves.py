@@ -15,7 +15,7 @@ Elliptic Curves: Number Theory and Cryptography, section 4.3).
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .exact import factorize, inv_mod, is_prime
+from .exact import factorize, is_prime
 from .groups import AbelianGroup
 
 # Affine point (x, y); None is the point at infinity.
@@ -81,9 +81,9 @@ class Curve:
         if x1 == x2 and (y1 + y2) % p == 0:
             return None
         if P == Q:
-            slope = (3 * x1 * x1 + self.a) * inv_mod(2 * y1, p) % p
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
         else:
-            slope = (y2 - y1) * inv_mod(x2 - x1, p) % p
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (slope * slope - x1 - x2) % p
         y3 = (slope * (x1 - x3) - y1) % p
         return (x3, y3)
@@ -154,9 +154,11 @@ def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     q^2 | N and q | p-1 can divide n1; for each such q the Sylow q-subgroup is
     grown from the points (N/q^e)P until it has q^e elements, and its exponent
     q^k gives q^(e-k) as q's share of n1. Then g2 is the first point of exact
-    order n2 = N/n1, and g1 the first point of exact order n1 whose span meets
-    the span of g2 only in the identity. Labelling every point by its (a, b)
-    coordinates certifies the result: n2*g2 and n1*g1 are checked to be the
+    order n2 = N/n1, and g1 the first point off the span of g2 (row 0) whose
+    walk g1, 2*g1, ..., n1*g1 stays off row 0 until n1*g1 = O. Row 0 holds the
+    identity, so that one walk gives g1 exact order n1 and a span meeting row 0
+    only in the identity, and its points start the rows. Labelling every point
+    by its (a, b) coordinates certifies the result: n2*g2 is checked to be the
     identity and the labels to be a bijection, so a point set that is not a
     group raises InternalInconsistency. Since -(a*g1 + b*g2) = (-a)*g1 + (-b)*g2,
     a row with a = -a mod n1 (row 0, and row n1/2 for even n1) is walked only to
@@ -209,20 +211,15 @@ def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     if n1 > 1:
         if (p - 1) % n1 != 0:
             raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {p - 1}")
-        span_g2 = set(indexed)
-        for candidate in ordered:
-            if (
-                curve.mul(n1, candidate) is None
-                and _has_exact_order(curve, candidate, n1, factors)
-                and _span_meets_trivially(curve, candidate, n1, span_g2)
-            ):
-                g1 = candidate
-                break
+        # row 0 holds O, so a walk that stays off it until n1*g1 = O gives g1 exact order n1
+        row0 = set(indexed)
+        for g1 in ordered:
+            if g1 not in row0:
+                row_starts = _walk(curve, None, g1, n1)
+                if row_starts[n1] is None and row0.isdisjoint(row_starts[2:n1]):
+                    break
         else:
             raise InternalInconsistency("no complementary generator found")
-    row_starts = _walk(curve, None, g1, n1)
-    if row_starts[n1] is not None:
-        raise InternalInconsistency(f"n1 * g1 is not the identity for n1 = {n1}")
     for a in range(1, n1):
         if 2 * a == n1:
             self_conjugate_row(row_starts[a])
@@ -307,12 +304,3 @@ def _has_exact_order(curve: Curve, point: CurvePoint, order: int, primes: Iterab
     Where order*point is the identity, this says the point has exact order ``order``.
     """
     return all(curve.mul(order // q, point) is not None for q in primes if order % q == 0)
-
-
-def _span_meets_trivially(curve: Curve, point: CurvePoint, order: int, other_span: Container[CurvePoint]) -> bool:
-    acc = point
-    for _ in range(order - 1):
-        if acc in other_span:
-            return False
-        acc = curve.add(acc, point)
-    return True

@@ -24,13 +24,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def inv_mod(a: int, m: int) -> int:
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

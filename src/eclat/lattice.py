@@ -68,20 +68,18 @@ class Lattice:
         return 8 if N == 2 else 6 if N == 3 else 4
 
     def minimal_vectors(self) -> list[Vector]:
-        """All minimal vectors as dense tuples, sorted lexicographically.
-
-        For N >= 4 these are the minimal_quadruples expanded; for N = 2 and 3
-        the short explicit lists.
-        """
-        g = self.group
-        N = g.order
-        if N == 2:
-            return [(-2, 2), (2, -2)]
-        if N == 3:
-            base = [(-2, 1, 1), (1, -2, 1), (1, 1, -2)]
-            out3 = base + [tuple(-c for c in v) for v in base]
-            return sorted(out3)
-        return [dense({i: 1, j: 1, k: -1, l: -1}, N) for (i, j), (k, l) in minimal_quadruples(g)]
+        """All minimal vectors as dense tuples, sorted lexicographically: the
+        minimal_quadruples expanded, where below N = 4 a pair may repeat an index."""
+        N = self.dim
+        out = []
+        for (i, j), (k, l) in minimal_quadruples(self.group):
+            v = [0] * N
+            v[i] += 1
+            v[j] += 1
+            v[k] -= 1
+            v[l] -= 1
+            out.append(tuple(v))
+        return out
 
     def count_minimal_vectors(self) -> int:
         """Number of minimal vectors, in closed form for N >= 4.
@@ -144,23 +142,27 @@ class Lattice:
 
 
 def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
-    """The minimal vectors for N >= 4, each as ((i, j), (k, l)): the vector
-    e_i + e_j - e_k - e_l, with i < j and k < l.
+    """The minimal vectors, each as ((i, j), (k, l)): the vector
+    e_i + e_j - e_k - e_l, with i < j and k < l for N >= 4.
 
     They run over ordered pairs of distinct pairs {P, Q} != {R, S} of distinct
     elements with P + Q = R + S (distinct pairs with equal sum are disjoint).
+    Below N = 4 a pair may repeat an element (i <= j and k <= l), which gives
+    the minimal vectors 2e_0 - 2e_1 at N = 2 and e_a + e_b - 2e_c at N = 3.
     The list is in the lexicographic order of the dense tuples. The key
-    sum(v_x * 3^(N-1-x)) keeps that order: where two vectors first differ,
-    their entries differ by 1 or 2, and the later coordinates, whose
-    differences lie in [-2, 2], add less than 3^(N-1-x) in absolute value.
+    sum(v_x * 3^(N-1-x)) keeps that order: for N >= 4, where two vectors
+    first differ, their entries differ by 1 or 2, and the later coordinates,
+    whose differences lie in [-2, 2], add less than 3^(N-1-x) in absolute
+    value; the 2 + 6 vectors at N = 2 and 3 have distinct keys in that order.
     """
     N = group.order
-    if N < 4:
-        raise BadSize(f"minimal vectors are pair-sum quadruples only for N >= 4, got N = {N}")
+    if N < 2:
+        raise BadSize(f"minimal vectors need N >= 2, got N = {N}")
     elems = group.elements()
     by_sum: dict[GroupElement, list[tuple[int, int]]] = {}
+    lo = 0 if N < 4 else 1
     for i in range(N):
-        for j in range(i + 1, N):
+        for j in range(i + lo, N):
             by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
     quads = [(pos, neg) for pairs in by_sum.values() for pos in pairs for neg in pairs if pos != neg]
     weight = [3 ** (N - 1 - x) for x in range(N)]

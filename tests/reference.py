@@ -19,7 +19,7 @@ from typing import Callable
 
 from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
-from eclat.exact import det_bareiss, factorize, inv_mod, xgcd
+from eclat.exact import det_bareiss, factorize, xgcd
 from eclat.groups import AbelianGroup, GroupElement, make_group
 from eclat.lattice import Lattice, Support, dense, gram_matrix
 
@@ -30,7 +30,7 @@ def crt(congruences: list[tuple[int, int]]) -> int:
     for r, q in congruences:
         if q == 1:
             continue
-        t = ((r - x) * inv_mod(mod % q, q)) % q
+        t = ((r - x) * pow(mod % q, -1, q)) % q
         x += mod * t
         mod *= q
     return x % mod if mod > 1 else 0

@@ -4,10 +4,7 @@ from eclat.basis import (
     CYCLIC4_FALLBACK,
     build_minimal_basis,
     cyclic_basis,
-    explicit_small_basis,
-    klein_basis,
     rect_basis,
-    small_cyclic_basis,
     verify_basis,
 )
 from eclat.errors import BadShape, BadSize
@@ -40,38 +37,39 @@ def test_cyclic_basis_bad_size():
         cyclic_basis(4)
 
 
+def table_rows(m, n, kind):
+    """The dense basis build_minimal_basis gives Z/m x Z/n, after checking its kind and certificate."""
+    result = build_minimal_basis(AbelianGroup(m, n))
+    assert result.kind == kind
+    assert result.certified
+    return list(result.vectors)
+
+
 def test_small_cyclic_basis():
-    assert [dense(v, 2) for v in small_cyclic_basis(2)] == [(-2, 2)]
+    assert table_rows(1, 2, "cyclic_small_2") == [(-2, 2)]
     assert norm_sq((-2, 2)) == 8
-    rows = [dense(v, 3) for v in small_cyclic_basis(3)]
+    rows = table_rows(1, 3, "cyclic_small_3")
     assert rows == [(-2, 1, 1), (1, -2, 1)]
     assert gram_report(rows).det == 27
     lat = Lattice(AbelianGroup(1, 3))
     assert all(lat.contains(v) for v in rows)
-    with pytest.raises(BadSize):
-        small_cyclic_basis(4)
 
 
 def test_klein_basis():
-    rows = klein_basis()
-    report = gram_report([dense(v, 4) for v in rows])
+    rows = table_rows(2, 2, "klein_2x2")
+    report = gram_report(rows)
     assert report.det == 64
     assert report.gram == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
-    assert all(norm_sq(dense(v, 4)) == 4 for v in rows)
-    assert verify_basis(AbelianGroup(2, 2), rows).certified
+    assert all(norm_sq(v) == 4 for v in rows)
 
 
 def test_explicit_small_bases():
-    rows24 = explicit_small_basis((2, 4))
-    assert dense(rows24[6], 8) == (1, -1, 0, 0, 1, 0, 0, -1)
-    rows33 = explicit_small_basis((3, 3))
-    assert dense(rows33[7], 9) == (1, 0, 0, -1, -1, 0, 0, 1, 0)
-    rows44 = explicit_small_basis((4, 4))
-    assert gram_report([dense(v, 16) for v in rows44]).det == 4096
-    for shape, rows in [((2, 4), rows24), ((3, 3), rows33), ((4, 4), rows44)]:
-        assert verify_basis(AbelianGroup(*shape), rows).certified
-    with pytest.raises(BadShape):
-        explicit_small_basis((2, 6))
+    rows24 = table_rows(2, 4, "explicit_2x4")
+    assert rows24[6] == (1, -1, 0, 0, 1, 0, 0, -1)
+    rows33 = table_rows(3, 3, "explicit_3x3")
+    assert rows33[7] == (1, 0, 0, -1, -1, 0, 0, 1, 0)
+    rows44 = table_rows(4, 4, "explicit_4x4")
+    assert gram_report(rows44).det == 4096
 
 
 def test_rect_basis_2x5_layout():

@@ -275,6 +275,8 @@ SEARCH_DIGESTS = {
 # sha256 of the concatenated stdout, recorded from the per-cell row writer (reference.write_rows)
 REPORT_DIGESTS = {
     "vectors": "5694d31e5e5994482769757aa4731e8f421ae36cb15fb7ace8bca83b04101465",
+    # recorded from the dispatch with one function per small shape and the explicit N = 2, 3 minimal vectors
+    "small_shapes": "a60a3d1a090d053ad45be110e3a672379709068843a9a9f75caf8623838c2668",
 }
 # p,a,b near 10^4 with n1 = 1 (n2 odd and even), 2, 3 (n2 odd and even), 4, 6 and 13, so rows that are their
 # own negation (row 0, row n1/2) and rows that are not both occur; three small primes whose basis is
@@ -338,6 +340,22 @@ def test_vector_reports_match_recorded_digests(capsys):
         assert code == 0, argv
         digest.update(out.encode())
     assert digest.hexdigest() == REPORT_DIGESTS["vectors"]
+
+
+def test_small_shape_reports_match_recorded_digest(capsys):
+    # basis and verify for every shape of basis.SMALL_BASES, and minvec below N = 4
+    argvs = [
+        (cmd, "--group", spec, *fmt)
+        for spec in ("1x2", "1x3", "1x4", "2x2", "2x4", "3x3", "4x4")
+        for cmd, fmt in (("basis", ("--json",)), ("basis", ("--csv",)), ("basis", ()), ("verify", ("--json",)))
+    ]
+    argvs += [("minvec", "--group", spec, *fmt) for spec in ("1x2", "1x3") for fmt in ((), ("--json",))]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == REPORT_DIGESTS["small_shapes"]
 
 
 def test_curve_outputs_match_recorded_digests(capsys):

@@ -104,10 +104,25 @@ def test_minimal_quadruples_in_dense_order(n):
         assert Lattice(g).minimal_vectors() == expanded
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_minimal_quadruples_need_order_four(n):
+def test_minimal_quadruples_need_order_two():
     with pytest.raises(BadSize):
-        minimal_quadruples(AbelianGroup(1, n))
+        minimal_quadruples(AbelianGroup(1, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minimal_quadruples_below_order_four_match_the_oracle(n):
+    # below N = 4 a pair may repeat an index, so the quadruples are expanded with +=
+    lat = cyclic(n)
+    expanded = []
+    for quad in minimal_quadruples(lat.group):
+        v = [0] * n
+        for i in quad[0]:
+            v[i] += 1
+        for i in quad[1]:
+            v[i] -= 1
+        expanded.append(tuple(v))
+    assert expanded == lat.svp_oracle(lat.minimal_distance_sq())
+    assert lat.minimal_vectors() == expanded
 
 
 def test_gram_report_examples():
