@@ -218,11 +218,10 @@ def cmd_minvec(args) -> int:
     _refuse_above(g, MINVEC_MAX_N, "minvec", "its report takes about 0.7 N^4 bytes")
     lat = Lattice(g)
     min_dist_sq = lat.minimal_distance_sq()
-    rows = minimal_quadruples(g)
-    count = len(rows)
+    count = lat.count_minimal_vectors()
     fields = {"group": g.spec(), "N": N, "min_dist_sq": min_dist_sq, "count": count}
     title = f"group {g.spec()}: {count} minimal vectors, norm^2 {min_dist_sq}"
-    _emit_vectors(args, fields, title, rows, N)
+    _emit_vectors(args, fields, title, minimal_quadruples(g), N)
     return 0
 
 

@@ -14,11 +14,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, prod
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BadSize, LengthMismatch, SearchBoundExceeded
 from .exact import det_bareiss, echelon_pivots
-from .groups import AbelianGroup, GroupElement
+from .groups import AbelianGroup
 
 Vector = tuple[int, ...]
 # a vector held by its nonzero entries, {coordinate: entry}
@@ -69,7 +69,8 @@ class Lattice:
 
     def minimal_vectors(self) -> list[Vector]:
         """All minimal vectors as dense tuples, sorted lexicographically: the
-        minimal_quadruples expanded, where below N = 4 a pair may repeat an index."""
+        stream of minimal_quadruples expanded in its order, where below N = 4 a
+        pair may repeat an index."""
         N = self.dim
         out = []
         for (i, j), (k, l) in minimal_quadruples(self.group):
@@ -141,7 +142,7 @@ class Lattice:
         return self.dim**3
 
 
-def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
+def minimal_quadruples(group: AbelianGroup) -> Iterator[Quadruple]:
     """The minimal vectors, each as ((i, j), (k, l)): the vector
     e_i + e_j - e_k - e_l, with i < j and k < l for N >= 4.
 
@@ -149,26 +150,62 @@ def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
     elements with P + Q = R + S (distinct pairs with equal sum are disjoint).
     Below N = 4 a pair may repeat an element (i <= j and k <= l), which gives
     the minimal vectors 2e_0 - 2e_1 at N = 2 and e_a + e_b - 2e_c at N = 3.
-    The list is in the lexicographic order of the dense tuples. The key
-    sum(v_x * 3^(N-1-x)) keeps that order: for N >= 4, where two vectors
-    first differ, their entries differ by 1 or 2, and the later coordinates,
-    whose differences lie in [-2, 2], add less than 3^(N-1-x) in absolute
-    value; the 2 + 6 vectors at N = 2 and 3 have distinct keys in that order.
+
+    They stream in the lexicographic order of the dense tuples, with memory
+    O(N^2) and no sort; where two vectors first differ, the smaller entry
+    comes first. Negation reverses that order, and of v and -v exactly one
+    has a negative first nonzero entry. So the stream is block(0), ...,
+    block(N-1), then block(N-1), ..., block(0), each negated and reversed,
+    where block(k) holds the vectors whose first nonzero entry is negative,
+    at k: (k, l) is the negative pair and k < i. In block(k):
+    - first those with l < i, by l ascending, then i descending; the pairs
+      of sum e_k + e_l give j;
+    - then those with i < l, by i descending. Within one i, first those with
+      l < j, by l ascending, then those with j < l, by j descending. As
+      e_i + e_j = e_k + e_l, j is l translated by e_k - e_i, and l is j
+      translated by e_i - e_k.
+    Below N = 4 the same order puts l = k (an entry -2) first in block(k),
+    and j = i (an entry 2) last within its i.
     """
     N = group.order
     if N < 2:
         raise BadSize(f"minimal vectors need N >= 2, got N = {N}")
     elems = group.elements()
-    by_sum: dict[GroupElement, list[tuple[int, int]]] = {}
-    lo = 0 if N < 4 else 1
-    for i in range(N):
-        for j in range(i + lo, N):
-            by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
-    quads = [(pos, neg) for pairs in by_sum.values() for pos in pairs for neg in pairs if pos != neg]
-    weight = [3 ** (N - 1 - x) for x in range(N)]
-    pair_weight = {pair: weight[pair[0]] + weight[pair[1]] for pairs in by_sum.values() for pair in pairs}
-    quads.sort(key=lambda q: pair_weight[q[0]] - pair_weight[q[1]])
-    return quads
+    index = {e: x for x, e in enumerate(elems)}
+    # sums[x][y] is the index of elems[x] + elems[y], and mates[s][x] that of elems[s] - elems[x], x's partner in
+    # the pairs of sum s. Ascending, firsts[s] holds the first index x of each pair (x, mates[s][x]) of sum s, and
+    # rises[d] each x below sums[d][x], its translate by elems[d]
+    sums = [[index[group.add(a, b)] for b in elems] for a in elems]
+    mates = [[0] * N for _ in range(N)]
+    for x, row in enumerate(sums):
+        for y, s in enumerate(row):
+            mates[s][x] = y
+    lo = 0 if N < 4 else 1  # a pair (x, y) has x + lo <= y
+    firsts = [[x for x in range(N) if mate[x] >= x + lo] for mate in mates]
+    rises = [[x for x in range(N) if shift[x] > x] for shift in sums]
+
+    def block(k: int) -> list[Quadruple]:
+        out = []
+        to_k = sums[k]
+        for l in range(k + lo, N):
+            s = to_k[l]
+            neg, mate, pos = (k, l), mates[s], firsts[s]
+            out += [((i, mate[i]), neg) for i in reversed(pos[bisect_right(pos, l) :])]
+        for i in range(N - 1, k, -1):
+            d, e = mates[k][i], mates[i][k]  # the indices of e_k - e_i and e_i - e_k
+            to_j, up = sums[d], rises[d]
+            out += [((i, to_j[l]), (k, l)) for l in up[bisect_right(up, i) :]]
+            to_l, up = sums[e], rises[e]
+            out += [((i, j), (k, to_l[j])) for j in reversed(up[bisect_right(up, i - 1 + lo) :])]
+        return out
+
+    def stream() -> Iterator[Quadruple]:
+        for k in range(N):
+            yield from block(k)
+        for k in reversed(range(N)):
+            yield from [(neg, pos) for pos, neg in reversed(block(k))]
+
+    return stream()
 
 
 _cost = itemgetter(0)

@@ -9,7 +9,9 @@ match byte for byte; ``verification_report`` certifies a basis from dense
 vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
 with its sparse echelon index, must match; ``echelon_pivots_xgcd`` is the
 echelon with an xgcd step for every row operation, whose pivot count and
-product exact.echelon_pivots, with its unit-pivot step, must match.
+product exact.echelon_pivots, with its unit-pivot step, must match;
+``minimal_quadruples`` lists every pair-sum quadruple and sorts them by a
+3^(N-1)-sized key, the order lattice.minimal_quadruples must stream.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Callable
 
 from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
+from eclat.errors import BadSize
 from eclat.exact import det_bareiss, factorize, xgcd
 from eclat.groups import AbelianGroup, GroupElement, make_group
-from eclat.lattice import Lattice, Support, dense, gram_matrix
+from eclat.lattice import Lattice, Quadruple, Support, dense, gram_matrix
 
 
 def crt(congruences: list[tuple[int, int]]) -> int:
@@ -172,3 +175,33 @@ def echelon_pivots_xgcd(rows: list[dict[int, int]]) -> list[int]:
             pivot_rows[c] = combine(x, row, y, vec)
             vec = combine(-(b // g), row, a // g, vec)
     return [pivot_rows[c][c] for c in sorted(pivot_rows)]
+
+
+def minimal_quadruples(group: AbelianGroup) -> list[Quadruple]:
+    """The minimal vectors, each as ((i, j), (k, l)): the vector
+    e_i + e_j - e_k - e_l, with i < j and k < l for N >= 4.
+
+    They run over ordered pairs of distinct pairs {P, Q} != {R, S} of distinct
+    elements with P + Q = R + S (distinct pairs with equal sum are disjoint).
+    Below N = 4 a pair may repeat an element (i <= j and k <= l), which gives
+    the minimal vectors 2e_0 - 2e_1 at N = 2 and e_a + e_b - 2e_c at N = 3.
+    The list is in the lexicographic order of the dense tuples. The key
+    sum(v_x * 3^(N-1-x)) keeps that order: for N >= 4, where two vectors
+    first differ, their entries differ by 1 or 2, and the later coordinates,
+    whose differences lie in [-2, 2], add less than 3^(N-1-x) in absolute
+    value; the 2 + 6 vectors at N = 2 and 3 have distinct keys in that order.
+    """
+    N = group.order
+    if N < 2:
+        raise BadSize(f"minimal vectors need N >= 2, got N = {N}")
+    elems = group.elements()
+    by_sum: dict[GroupElement, list[tuple[int, int]]] = {}
+    lo = 0 if N < 4 else 1
+    for i in range(N):
+        for j in range(i + lo, N):
+            by_sum.setdefault(group.add(elems[i], elems[j]), []).append((i, j))
+    quads = [(pos, neg) for pairs in by_sum.values() for pos in pairs for neg in pairs if pos != neg]
+    weight = [3 ** (N - 1 - x) for x in range(N)]
+    pair_weight = {pair: weight[pair[0]] + weight[pair[1]] for pairs in by_sum.values() for pair in pairs}
+    quads.sort(key=lambda q: pair_weight[q[0]] - pair_weight[q[1]])
+    return quads

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
+from collections import deque
+from collections.abc import Iterator
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eclat.errors import BadSize, LengthMismatch, SearchBoundExceeded
-from eclat.groups import AbelianGroup, canonical_groups_of_order
+from eclat.groups import AbelianGroup, canonical_groups_of_order, make_group
 from eclat.lattice import (
     Lattice,
     dense,
@@ -15,6 +18,7 @@ from eclat.lattice import (
     support,
     support_index,
 )
+from reference import minimal_quadruples as sorted_quadruples
 
 
 def cyclic(n):
@@ -97,11 +101,39 @@ def pair_sum_vectors(group):
 @pytest.mark.parametrize("n", range(4, 49))
 def test_minimal_quadruples_in_dense_order(n):
     for g in canonical_groups_of_order(n):
-        quads = minimal_quadruples(g)
+        quads = list(minimal_quadruples(g))
         assert all(i < j and k < l for (i, j), (k, l) in quads)
         expanded = [dense({i: 1, j: 1, k: -1, l: -1}, n) for (i, j), (k, l) in quads]
         assert expanded == sorted(pair_sum_vectors(g)), g.spec()
         assert Lattice(g).minimal_vectors() == expanded
+
+
+@pytest.mark.parametrize("spec", ["1x96", "2x48", "4x24", "3x27"])
+def test_minimal_quadruples_match_the_sorted_reference(spec):
+    # the pair-sum list sorted by its 3^(N-1) keys, at sizes too big for the dense reference; in the non-cyclic
+    # shapes a translate x + d of an index is not monotone in x, as it is in each wrap of a cyclic group
+    g = make_group(*map(int, spec.split("x")))
+    assert list(minimal_quadruples(g)) == sorted_quadruples(g)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_minimal_quadruples_stream_the_closed_form_count(n):
+    for g in canonical_groups_of_order(n):
+        assert sum(1 for _ in minimal_quadruples(g)) == Lattice(g).count_minimal_vectors(), g.spec()
+
+
+def test_minimal_quadruples_stream_in_small_memory():
+    # the sorted list of 4x24's 212112 quadruples peaks at about 25 MB traced; the stream holds one block
+    g = make_group(4, 24)
+    tracemalloc.start()
+    try:
+        quads = minimal_quadruples(g)
+        assert isinstance(quads, Iterator)  # not a list
+        deque(quads, maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_minimal_quadruples_need_order_two():
