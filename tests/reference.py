@@ -1,9 +1,10 @@
 """Independent references the tests check the library against.
 
 ``canonical_map`` witnesses that make_group's Z/gcd x Z/lcm is isomorphic to
-Z/m x Z/n; ``subgroup`` generates point sets for group_structure;
-``full_walk_points`` labels a curve group with one chord addition per point,
-which group_structure's walk with negated half rows must match;
+Z/m x Z/n; ``subgroup`` closes a set of curve points under addition, the
+point sets group_structure must refuse unless they are all of E(F_p);
+``full_walk_points`` labels E(F_p) by a*g1 + b*g2 with one chord addition per
+point, so listing every point once checks group_structure's certificate;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
 match byte for byte; ``verification_report`` certifies a basis from dense
 vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
@@ -20,7 +21,7 @@ import sys
 from typing import Callable
 
 from eclat.basis import VerificationReport
-from eclat.curves import Curve, CurveGroup, CurvePoint, group_structure
+from eclat.curves import Curve, CurvePoint
 from eclat.errors import BadSize
 from eclat.exact import det_bareiss, factorize, xgcd
 from eclat.groups import AbelianGroup, GroupElement, make_group
@@ -69,18 +70,18 @@ def canonical_map(m: int, n: int) -> Callable[[GroupElement], GroupElement]:
     return relabel
 
 
-def subgroup(cg: CurveGroup, gens: list[CurvePoint]) -> CurveGroup:
-    """Subgroup generated by the given points, with its own canonical labelling."""
+def subgroup(curve: Curve, gens: list[CurvePoint]) -> set[CurvePoint]:
+    """The points of the subgroup of E(F_p) generated by the given points."""
     closure = {None}
     frontier = [None]
     while frontier:
         base = frontier.pop()
         for g in gens:
-            nxt = cg.curve.add(base, g)
+            nxt = curve.add(base, g)
             if nxt not in closure:
                 closure.add(nxt)
                 frontier.append(nxt)
-    return group_structure(list(closure), cg.curve)
+    return closure
 
 
 def full_walk_points(curve: Curve, n1: int, n2: int, g1: CurvePoint, g2: CurvePoint) -> tuple[CurvePoint, ...]:

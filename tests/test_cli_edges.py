@@ -21,6 +21,7 @@ from math import comb, isqrt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eclat import basis
 from eclat.cli import BASIS_MAX_N, DENSITY_MAX_N, MINVEC_MAX_N, VERIFY_MAX_N, main
 from eclat.errors import BadSize, SearchBoundExceeded
 from eclat.groups import AbelianGroup
@@ -293,6 +294,18 @@ def test_basis_cap_admits_every_default_curve_group():
     assert VERIFY_MAX_N >= 100624
     code, out, err = call(["verify", "--group", f"1x{VERIFY_MAX_N}", "--json"])
     assert code == 0 and '"certified": true' in out
+
+
+def test_basis_failing_its_certificate_exits_one(monkeypatch):
+    # a last row 3e_0 - 3e_1, off the lattice and no quadruple, is reported as a failed certificate, not a usage error
+    cyclic_basis = basis.cyclic_basis
+    monkeypatch.setattr(basis, "cyclic_basis", lambda n: [*cyclic_basis(n)[:-1], {0: 3, 1: -3}])
+    for fmt in ((), ("--json",), ("--csv",)):
+        code, out, err = call(["basis", "--group", "1x7", *fmt])
+        assert code == 1 and out == "", fmt
+        assert err.startswith("certification failed for 1x7") and "error" not in err, fmt
+    code, out, err = call(["verify", "--group", "1x7", "--json"])
+    assert code == 1 and '"all_in_lattice": false' in out
 
 
 @pytest.mark.parametrize(

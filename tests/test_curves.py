@@ -2,7 +2,7 @@ import random
 from math import lcm
 
 import pytest
-from reference import subgroup
+from reference import full_walk_points, subgroup
 
 from eclat.curves import Curve, CurveGroup, curve_group, group_structure, point_order
 from eclat.errors import CurveTooLarge, InternalInconsistency, PointNotOnCurve, SingularCurve
@@ -103,7 +103,7 @@ def test_group_structure_full_two_torsion():
     c = Curve(5, 1, 0)  # y^2 = x^3 + x: four points, all 2-torsion
     cg = curve_group(c)
     assert (cg.structure.m, cg.structure.n) == (2, 2)
-    assert all(point_order(c, P, 4) <= 2 for P in cg.points)
+    assert all(point_order(c, P, 4) <= 2 for P in full_walk_points(c, 2, 2, *cg.generators))
 
 
 def test_group_structure_divisibility_constraints():
@@ -124,11 +124,12 @@ def test_label_is_isomorphism_exhaustive():
     c = Curve(7, 1, 0)
     cg = curve_group(c)
     g = cg.structure
-    label = dict(zip(cg.points, g.elements()))
+    points = full_walk_points(c, g.m, g.n, *cg.generators)
+    label = dict(zip(points, g.elements()))
     assert len(label) == g.order
     assert label[None] == (0, 0)
-    for P in cg.points:
-        for Q in cg.points:
+    for P in points:
+        for Q in points:
             assert label[c.add(P, Q)] == g.add(label[P], label[Q])
 
 
@@ -140,29 +141,11 @@ def test_group_structure_independent_of_point_order():
     random.Random(5).shuffle(shuffled)
     cg2 = group_structure(shuffled, c)
     assert cg1.structure == cg2.structure
-    assert cg1.points == cg2.points
+    assert _walk_points(cg1) == _walk_points(cg2)
 
 
-def test_subgroups():
-    c = Curve(7, 1, 0)
-    cg = curve_group(c)
-    triv = subgroup(cg, [None])
-    assert triv.order == 1
-
-    g2 = cg.generators[1]
-    cyc = subgroup(cg, [g2])
-    assert (cyc.structure.m, cyc.structure.n) == (1, cg.structure.n)
-
-    full = subgroup(cg, list(cg.points))
-    assert full.structure == cg.structure
-
-
-def test_subgroup_is_canonical():
-    c = Curve(13, 2, 2)
-    cg = curve_group(c)
-    for P in cg.points:
-        sub = subgroup(cg, [P])
-        assert sub.structure.n % sub.structure.m == 0
+def _walk_points(cg):
+    return full_walk_points(cg.curve, cg.structure.m, cg.structure.n, *cg.generators)
 
 
 def test_xgcd_coefficient_is_the_modular_inverse():
@@ -189,8 +172,9 @@ def test_mul_matches_repeated_addition():
 
 
 # The all-orders scan group_structure used before the Sylow search, kept as a
-# reference: it computes every point's order, takes n2 as their lcm, and picks
-# the generators by the same rules.
+# reference: it computes every point's order, takes n2 as their lcm, picks the
+# generators by the same rules, and labels every point by a*g1 + b*g2, which
+# must be a bijection; it returns the CurveGroup and the labelled points.
 def _all_orders_group_structure(points, curve):
     pts = set(points)
     if None not in pts:
@@ -241,7 +225,7 @@ def _all_orders_group_structure(points, curve):
         raise InternalInconsistency("generator pair does not label the group bijectively")
     if n1 > 1 and (curve.p - 1) % n1 != 0:
         raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {curve.p - 1}")
-    return CurveGroup(curve, structure, tuple(indexed), (g1, g2))
+    return CurveGroup(curve, structure, (g1, g2)), tuple(indexed)
 
 
 def _cyclic_span(curve, point, order):
@@ -263,14 +247,14 @@ def _span_meets_trivially(curve, point, order, other_span):
 
 
 def _assert_matches_oracle(cg):
-    expected = _all_orders_group_structure(list(cg.points), cg.curve)
+    expected, points = _all_orders_group_structure(cg.curve.points(), cg.curve)
     assert (cg.structure.m, cg.structure.n) == (expected.structure.m, expected.structure.n)
     assert cg.generators == expected.generators
-    assert cg.points == expected.points
+    assert _walk_points(cg) == points
 
 
 def test_group_structure_matches_all_orders_oracle():
-    # every nonsingular curve over 5 <= p <= 31, and the subgroup of its first two non-identity points
+    # every nonsingular curve over 5 <= p <= 31, the primes where group_structure counts E(F_p) directly
     curves_seen = 0
     for p in filter(is_prime, range(5, 32)):
         for a in range(p):
@@ -281,7 +265,6 @@ def test_group_structure_matches_all_orders_oracle():
                     continue
                 cg = curve_group(c)
                 _assert_matches_oracle(cg)
-                _assert_matches_oracle(subgroup(cg, list(cg.points[1:3])))
                 curves_seen += 1
     assert curves_seen == 3190
 
@@ -302,34 +285,54 @@ def test_group_structure_rejects_points_off_the_curve():
         group_structure([*c.points(), (0, 1)], c)
 
 
-def _closed(curve, pts):
-    return all(curve.add(P, Q) in pts for P in pts for Q in pts)
-
-
-def test_group_structure_accepts_only_closed_sets():
+def test_group_structure_accepts_exactly_the_curve_group():
+    # subgroups (the proper ones refused), each possibly with one point dropped or one added, and random point sets
     rng = random.Random(7)
     accepted = rejected = 0
-    for p, a, b in ((101, 21, 89), (103, 1, 0), (109, 3, 7), (127, 0, 5)):
+    for p, a, b in ((101, 21, 89), (103, 1, 0), (109, 3, 7), (127, 0, 5), (13, 2, 2), (31, 1, 0)):
         c = Curve(p, a, b)
         cg = curve_group(c)
+        points = c.points()
         for _ in range(60):
             if rng.random() < 0.5:
-                # a subgroup, possibly with one point dropped or one added
-                sub = set(subgroup(cg, rng.sample(cg.points, rng.randint(1, 2))).points)
+                sub = subgroup(c, rng.sample(points, rng.randint(1, 2)))
                 tweak = rng.choice(("none", "drop", "add"))
                 if tweak == "drop" and len(sub) > 1:
                     sub.discard(rng.choice(sorted(pt for pt in sub if pt is not None)))
                 elif tweak == "add":
-                    sub.add(rng.choice(cg.points))
+                    sub.add(rng.choice(points))
             else:
-                sub = {None, *rng.sample(cg.points, rng.randint(1, 12))}
-            try:
+                sub = {None, *rng.sample(points, rng.randint(1, 12))}
+            if sub == set(points):
                 result = group_structure(list(sub), c)
-            except InternalInconsistency:
-                assert not _closed(c, sub)
-                rejected += 1
-            else:
-                assert _closed(c, sub)
-                assert set(result.points) == sub
+                assert (result.structure, result.generators) == (cg.structure, cg.generators)
                 accepted += 1
+            else:
+                with pytest.raises(InternalInconsistency):
+                    group_structure(list(sub), c)
+                rejected += 1
+        # E(F_p) with one point dropped, for each affine point
+        for P in points[1:]:
+            with pytest.raises(InternalInconsistency):
+                group_structure([pt for pt in points if pt != P], c)
     assert accepted > 0 and rejected > 0
+
+
+@pytest.mark.parametrize(
+    "spec", [(13, 0, 5), (29, 4, 7), (31, 0, 1), (37, 1, 0), (37, 0, 1), (43, 0, 3)], ids=lambda s: "%d,%d,%d" % s
+)
+def test_group_structure_refuses_every_proper_subgroup(spec):
+    # groups 4x4, 4x8, 6x6 below the direct-count bound p >= 37 and 6x6, 4x12, 7x7 above it;
+    # every subgroup is generated by two points
+    c = Curve(*spec)
+    points = c.points()
+    expected = curve_group(c)
+    subgroups = {frozenset(subgroup(c, [P, Q])) for P in points for Q in points}
+    assert len(subgroups) > 4
+    for sub in subgroups:
+        if len(sub) == len(points):
+            result = group_structure(list(sub), c)
+            assert (result.structure, result.generators) == (expected.structure, expected.generators)
+        else:
+            with pytest.raises(InternalInconsistency):
+                group_structure(list(sub), c)
