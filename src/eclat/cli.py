@@ -10,7 +10,10 @@ which charges each covering trial about its time in nodes; a group whose
 covering bounds leave the float range; basis above BASIS_MAX_N; verify
 above VERIFY_MAX_N; minvec above MINVEC_MAX_N; density --to above
 DENSITY_MAX_N; and a curve prime above curves.MAX_P, checked before the
-prime is tested. curve certifies the basis only up to
+prime is tested. Of the bad curve inputs, a singular curve and a p that is
+not a prime above 3 (errors.BadInput) exit 2 as well. Any other exception,
+a ValueError included, is a bug and ends the run with its traceback (exit
+status 1). curve certifies the basis only up to
 N = CURVE_BASIS_MAX_N and reports the structure and bounds alone above it.
 """
 
@@ -28,7 +31,7 @@ from typing import Iterable
 
 from . import basis as basis_mod
 from . import curves, geometry
-from .errors import BadSize, CurveTooLarge, EclatError, SearchBoundExceeded, SingularCurve
+from .errors import BadInput, BadSize, CurveTooLarge, EclatError, SearchBoundExceeded, SingularCurve
 from .groups import AbelianGroup, make_group, parse_group_spec
 from .lattice import Lattice, Quadruple, minimal_quadruples, quadruple, span_rank
 
@@ -376,7 +379,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SingularCurve, CurveTooLarge, BadSize, SearchBoundExceeded, ValueError) as exc:
+    except (BadInput, SingularCurve, CurveTooLarge, BadSize, SearchBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EclatError as exc:

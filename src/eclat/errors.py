@@ -13,6 +13,10 @@ class NotInAn(EclatError):
     """Vector coordinates do not sum to zero."""
 
 
+class BadInput(EclatError, ValueError):
+    """Input outside a documented domain: a curve prime that is not a prime above 3."""
+
+
 class BadSize(EclatError):
     """Size parameter outside the range a construction supports."""
 

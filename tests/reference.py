@@ -5,6 +5,8 @@ Z/m x Z/n; ``subgroup`` closes a set of curve points under addition, the
 point sets group_structure must refuse unless they are all of E(F_p);
 ``full_walk_points`` labels E(F_p) by a*g1 + b*g2 with one chord addition per
 point, so listing every point once checks group_structure's certificate;
+``first_complement`` picks g1 by scanning every point, the rule the
+certificate's scan of the sorted n1-torsion must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
 match byte for byte; ``verification_report`` certifies a basis from dense
 vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
@@ -95,6 +97,26 @@ def full_walk_points(curve: Curve, n1: int, n2: int, g1: CurvePoint, g2: CurvePo
             pt = curve.add(pt, g2)
         row_start = curve.add(row_start, g1)
     return tuple(indexed)
+
+
+def first_complement(curve: Curve, points: list[CurvePoint], n1: int, n2: int, g2: CurvePoint) -> CurvePoint:
+    """The first of the points, in their order, with n1*P = O whose multiples a*P, 0 < a < n1, avoid the
+    n1-torsion of <g2>: the g1 rule scanned over every point, with no torsion set."""
+    if n1 == 1:
+        return None
+    step = curve.mul(n2 // n1, g2)
+    H = {curve.mul(a, step) for a in range(n1)}
+    for P in points:
+        if P in H or curve.mul(n1, P) is not None:
+            continue
+        multiple = P
+        for _ in range(n1 - 2):
+            multiple = curve.add(multiple, P)
+            if multiple in H:
+                break
+        else:
+            return P
+    raise AssertionError(f"no point of order {n1} meets <g2> only in O")
 
 
 BATCH_ROWS = 1024

@@ -174,6 +174,20 @@ def test_curve_errors_carry_the_library_message(spec, message):
     assert (code, out, err) == (2, "", message)
 
 
+def test_curve_arithmetic_fault_is_not_a_usage_error():
+    # a fault in the group law, here inverting 0 mod p, is a bug: it ends with a traceback and exit 1, not "error:" and 2
+    script = (
+        "import sys\n"
+        "from eclat import cli, curves\n"
+        "curves.Curve.add = lambda self, P, Q: pow(0, -1, self.p)\n"
+        "sys.exit(cli.main(['curve', '--curve', '13,2,2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" in proc.stderr and "ValueError" in proc.stderr
+    assert not any(line.startswith("error: ") for line in proc.stderr.splitlines())
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

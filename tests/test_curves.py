@@ -2,18 +2,20 @@ import random
 from math import lcm
 
 import pytest
-from reference import full_walk_points, subgroup
+from reference import first_complement, full_walk_points, subgroup
 
-from eclat.curves import Curve, CurveGroup, curve_group, group_structure, point_order
-from eclat.errors import CurveTooLarge, InternalInconsistency, PointNotOnCurve, SingularCurve
+from eclat.curves import Curve, CurveGroup, _enumeration, curve_group, group_structure, point_order
+from eclat.errors import BadInput, CurveTooLarge, InternalInconsistency, PointNotOnCurve, SingularCurve
 from eclat.exact import is_prime, xgcd
 from eclat.groups import AbelianGroup
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
+    # BadInput is a ValueError too, so library callers that catch ValueError keep working
+    assert issubclass(BadInput, ValueError)
+    with pytest.raises(BadInput, match="^p must be a prime greater than 3, got 4$"):
         Curve(4, 1, 1)  # not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput):
         Curve(3, 1, 1)  # p must exceed 3
     with pytest.raises(SingularCurve):
         Curve(5, 0, 0)
@@ -336,3 +338,61 @@ def test_group_structure_refuses_every_proper_subgroup(spec):
         else:
             with pytest.raises(InternalInconsistency):
                 group_structure(list(sub), c)
+
+
+# The list-free path: curve_group counts E(F_p) from a square-root table and scans it lazily, and takes g1 from
+# the sorted n1-torsion; group_structure runs the same certificate over a list. Each check below compares the
+# two, the count and the lazy scan with points(), and g1 with reference.first_complement, the scan of every point.
+def _check_list_free(c):
+    count, scan = _enumeration(c)
+    points = c.points()
+    assert list(scan()) == points and count == len(points)
+    cg = curve_group(c)
+    listed = group_structure(points, c)
+    assert (cg.structure, cg.generators) == (listed.structure, listed.generators)
+    assert cg.generators[0] == first_complement(c, points, cg.structure.m, cg.structure.n, cg.generators[1])
+    return cg
+
+
+def test_list_free_path_on_every_small_curve():
+    shapes = set()
+    for p in filter(is_prime, range(5, 24)):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    shapes.add(_check_list_free(Curve(p, a, b)).structure.m)
+    assert max(shapes) >= 4
+
+
+def _random_curves(rng, count):
+    # half with three distinct roots x, so full 2-torsion and n1 >= 2
+    primes = list(filter(is_prime, range(37, 10**4)))
+    while count:
+        p = rng.choice(primes)
+        if count % 2:
+            r1, r2 = rng.sample(range(p), 2)
+            r3 = -(r1 + r2) % p
+            if r3 in (r1, r2):
+                continue
+            a, b = (r1 * r2 + r1 * r3 + r2 * r3) % p, -r1 * r2 * r3 % p
+        else:
+            a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b * b) % p:
+            count -= 1
+            yield Curve(p, a, b)
+
+
+def test_list_free_path_on_random_curves():
+    n1s = [_check_list_free(c).structure.m for c in _random_curves(random.Random(41), 300)]
+    assert n1s.count(1) > 50 and n1s.count(2) > 100 and max(n1s) >= 4
+
+
+@pytest.mark.parametrize(
+    "spec,shape",
+    [((99991, 0, 1), (6, 16758)), ((99991, 12, 3), (5, 20030)), ((10009, 0, 1), (6, 1638)), ((1013, 39, 0), (23, 46))],
+    ids=lambda s: "%d,%d,%d" % s if len(s) == 3 else "%dx%d" % s,
+)
+def test_list_free_path_on_n1_at_least_three(spec, shape):
+    # 23x46 has a Sylow 23-subgroup of exponent 23, which is its own 23-torsion
+    cg = _check_list_free(Curve(*spec))
+    assert (cg.structure.m, cg.structure.n) == shape
