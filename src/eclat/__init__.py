@@ -18,17 +18,14 @@ from .geometry import (
     covering_bounds,
     covering_radius_An_sq,
     cvp,
-    deep_hole_An,
     mh_window_scan,
     packing_density_log,
-    retract,
     sampled_covering_check,
     zeta,
 )
 from .groups import (
     AbelianGroup,
     GroupElement,
-    canonical_groups_of_order,
     make_group,
     parse_group_spec,
 )
@@ -62,13 +59,11 @@ __all__ = [
     "Vector",
     "VerificationReport",
     "build_minimal_basis",
-    "canonical_groups_of_order",
     "covering_bounds",
     "covering_radius_An_sq",
     "curve_group",
     "cvp",
     "cyclic_basis",
-    "deep_hole_An",
     "dense",
     "gram_report",
     "group_structure",
@@ -78,7 +73,6 @@ __all__ = [
     "packing_density_log",
     "parse_group_spec",
     "rect_basis",
-    "retract",
     "sampled_covering_check",
     "span_rank",
     "support",

@@ -4,7 +4,8 @@ Reports go to stdout (JSON with sorted keys, CSV for density sweeps, or
 plain text); notes and errors go to stderr. Exit status: 0 on
 success, 1 when a certification check fails (other than the documented
 cyclic-order-4 exception), 2 on usage errors, which include sizes a
-command refuses: a group of order 1; an oracle search or a whole covering
+command refuses: a --group of order above GROUP_MAX_N, refused by every
+command as it is parsed; a group of order 1; an oracle search or a whole covering
 check past lattice.SEARCH_MAX_NODES nodes, the one limit of both searches,
 which charges each covering trial about its time in nodes; a group whose
 covering bounds leave the float range; basis above BASIS_MAX_N; verify
@@ -37,11 +38,14 @@ from .lattice import Lattice, Quadruple, minimal_quadruples, quadruple, span_ran
 
 DEFAULT_SEED = 2024
 DEFAULT_TRIALS = 50
+# the largest group order any command parses: N^3 (3001 digits) stays below the 4300 digits Python converts
+# to a decimal string by default, so every report and refusal message prints
+GROUP_MAX_N = 10**1000
 # basis prints N - 1 rows of N entries, up to 3 N^2 bytes (300 MB in about 4 s at N = 10^4)
 BASIS_MAX_N = 10_200
 # the Hasse bound N <= p + 1 + 2 sqrt(p) (Washington, thm. 4.2) at curves.MAX_P, so verify certifies
-# the group of every curve that curve admits: 0.9 to 1.2 s and about 100 MB at N = 100633, 0.8 to 1.7 s at
-# 2x50000, 316x316 and 4x25000 (ten whole-process runs each, 2-core VM, Python 3.11)
+# the group of every curve that curve admits: 0.52 to 0.61 s and 77 MB peak RSS at N = 100633, 0.55 to 0.91 s
+# and 78 to 80 MB at 2x50000, 316x316 and 4x25000 (ten whole-process runs each, 2-core VM, Python 3.11)
 VERIFY_MAX_N = curves.MAX_P + 1 + isqrt(4 * curves.MAX_P)
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
@@ -142,6 +146,8 @@ def _group_arg(spec: str) -> AbelianGroup:
         m, n = parse_group_spec(spec)
     except ValueError as exc:  # argparse would print this function's name in place of the message
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if m * n > GROUP_MAX_N:
+        raise argparse.ArgumentTypeError(f"group spec {spec!r} has order above GROUP_MAX_N = 10^1000")
     return make_group(m, n)
 
 

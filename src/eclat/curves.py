@@ -253,9 +253,9 @@ def _certify(curve: Curve, count: int, scan: Callable[[], Iterable[CurvePoint]])
     if n1 > 1:
         if (p - 1) % n1 != 0:
             raise InternalInconsistency(f"n1 = {n1} does not divide p - 1 = {p - 1}")
-        H = set(_walk(curve, None, curve.mul(n2 // n1, g2), n1 - 1))
+        H = set(_multiples(curve, curve.mul(n2 // n1, g2), n1 - 1))
         for g1 in sorted(torsion - H):
-            w = _walk(curve, None, g1, n1)
+            w = _multiples(curve, g1, n1)
             if w[n1] is None and H.isdisjoint(w[2:n1]):
                 break
         else:
@@ -304,28 +304,11 @@ def _sylow_exponent(
     return k, sylow
 
 
-def _walk(curve: Curve, start: CurvePoint, step: CurvePoint, count: int) -> list[CurvePoint]:
-    """[start, start + step, ..., start + count*step].
-
-    The chord formula runs inline; curve.add is called only where a point is
-    the identity or shares the step's x (a doubling, or a sum that is the identity).
-    """
-    if step is None:
-        return [start] * (count + 1)
-    p = curve.p
-    sx, sy = step
-    pt = start
-    out = [pt]
-    append = out.append
+def _multiples(curve: Curve, step: CurvePoint, count: int) -> list[CurvePoint]:
+    """[O, step, 2*step, ..., count*step], one curve.add each."""
+    out: list[CurvePoint] = [None]
     for _ in range(count):
-        if pt is None or pt[0] == sx:
-            pt = curve.add(pt, step)
-        else:
-            x, y = pt
-            slope = (sy - y) * pow(sx - x, -1, p) % p
-            x3 = (slope * slope - x - sx) % p
-            pt = (x3, (slope * (x - x3) - y) % p)
-        append(pt)
+        out.append(curve.add(out[-1], step))
     return out
 
 

@@ -6,6 +6,7 @@ lattice indices come out exact instead of floating-point estimates.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import isqrt
 
 from .errors import InternalInconsistency
@@ -82,7 +83,7 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def echelon_pivots(rows: list[dict[int, int]]) -> list[int]:
+def echelon_pivots(rows: Iterable[dict[int, int]]) -> list[int]:
     """Positive pivots, in column order, of an integer echelon form of the rows.
 
     Rows are sparse, {column: nonzero entry}, and are reduced with
@@ -103,6 +104,11 @@ def echelon_pivots(rows: list[dict[int, int]]) -> list[int]:
     product, the rank and the index, do not change. Every row operation
     must clear the column; one that does not is a bug and raises
     InternalInconsistency, since the row would never settle.
+
+    The rows may come from a generator, and are taken one at a time. A row
+    with a positive pivot may be kept as it is, as a pivot row that later
+    rows read, so callers must pass fresh dicts and change none of them
+    afterwards.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for vec in rows:

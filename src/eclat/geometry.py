@@ -1,6 +1,6 @@
 """Packing density against the Minkowski-Hlawka bound, covering-radius bounds,
-deep holes of A_{N-1}, the retraction of A_{N-1} into the lattice, and an
-exact closest-vector search for desk-scale checks.
+a seeded random covering check, and an exact closest-vector search for
+desk-scale checks.
 
 The closest-vector search scales the target to integers once and runs the
 lattice enumeration shared with the short-vector oracle, so covering checks
@@ -138,36 +138,6 @@ def covering_radius_An_sq(N: int) -> Fraction:
     return Fraction(N * N - 1, 4 * N)
 
 
-def deep_hole_An(N: int) -> RationalPoint:
-    """A deep hole of A_{N-1}: ceil(N/2) positive entries then floor(N/2) negative ones.
-
-    Entries are +-1/2 for even N and 1/2 - 1/(2N), -1/2 - 1/(2N) for odd N,
-    so the coordinates sum to zero exactly.
-    """
-    if N < 2:
-        raise BadSize(f"A_{{N-1}} needs N >= 2, got {N}")
-    i = N // 2
-    j = N - i
-    if N % 2 == 0:
-        return tuple([Fraction(1, 2)] * j + [Fraction(-1, 2)] * i)
-    shift = Fraction(1, 2 * N)
-    return tuple([Fraction(1, 2) - shift] * j + [Fraction(-1, 2) - shift] * i)
-
-
-def retract(group: AbelianGroup, v: Vector) -> Vector:
-    """Pull a zero-sum integer vector into the lattice within distance sqrt(2).
-
-    Adds 1 at the identity coordinate and subtracts 1 at the coordinate of
-    the vector's group-weighted sum; vectors already in the lattice are
-    returned unchanged.
-    """
-    if len(v) != group.order:
-        raise LengthMismatch(f"expected length {group.order}, got {len(v)}")
-    if sum(v) != 0:
-        raise NotInAn("coordinates must sum to zero")
-    return _retraction_point(group, list(v), 1)[0]
-
-
 def _retraction_point(group: AbelianGroup, ts: list[int], D: int) -> tuple[Vector, int]:
     """A lattice vector near the target ts / D, and its cost sum((D*x_i - ts_i)^2).
 
@@ -178,8 +148,7 @@ def _retraction_point(group: AbelianGroup, ts: list[int], D: int) -> tuple[Vecto
     the point's group-weighted sum. With residues r = D*x - ts the step costs
     2D^2 + 2D(r_g - r_{g+s}), so g is found in one pass over the elements;
     ties go to the element first in index order, so an integer target steps
-    from the identity, as retract does. The target must lie in the zero-sum
-    hyperplane.
+    from the identity. The target must lie in the zero-sum hyperplane.
     """
     m, n = group.m, group.n
     x = [(2 * t + D) // (2 * D) for t in ts]
@@ -310,27 +279,18 @@ def _splitmix64(seed: int, count: int) -> Iterator[tuple[int, ...]]:
 
 
 def _scaled_targets(N: int, trials: int, seed: int) -> Iterator[list[int]]:
-    """The targets of sample_targets as integer numerators over 2N^2.
+    """The covering check's targets, as integer numerators over 2N^2.
 
-    A draw is an output's residue mod 6N + 1 less 3N; the offset cancels in
-    the projection, so each trial projects N residues.
+    Each trial draws N SplitMix64 integers in [-3N, 3N], projects the vector
+    onto coordinate sum zero, and scales by 1/(2N). A draw is an output's
+    residue mod 6N + 1 less 3N; the offset cancels in the projection, so each
+    trial projects N residues.
     """
     width = 6 * N + 1
     residues = map(width.__rmod__, chain.from_iterable(_splitmix64(seed, N * trials)))
     for u in zip(*[residues] * N):
         total = sum(u)
         yield [N * x - total for x in u]
-
-
-def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
-    """Deterministic rational targets in the zero-sum hyperplane, drawn one at a time.
-
-    Each trial draws N SplitMix64 integers in [-3N, 3N], projects the vector
-    onto coordinate sum zero, and scales by 1/(2N).
-    """
-    D = 2 * N * N
-    for ts in _scaled_targets(N, trials, seed):
-        yield tuple(Fraction(t, D) for t in ts)
 
 
 def within_upper_bound(dist_sq: Fraction, mu_sq: Fraction) -> bool:

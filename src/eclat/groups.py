@@ -83,19 +83,6 @@ def make_group(m: int, n: int) -> AbelianGroup:
     return AbelianGroup(gcd(m, n), lcm(m, n))
 
 
-def canonical_groups_of_order(order: int) -> list[AbelianGroup]:
-    """All canonical shapes (m, n) with m | n and m*n = order, m ascending."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    shapes = []
-    for m in range(1, order + 1):
-        if m * m > order:
-            break
-        if order % (m * m) == 0:
-            shapes.append(AbelianGroup(m, order // m))
-    return shapes
-
-
 def parse_group_spec(spec: str) -> tuple[int, int]:
     """Parse a group spec string such as "3x6" into the pair (3, 6)."""
     match = _SPEC_RE.match(spec)

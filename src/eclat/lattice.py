@@ -382,7 +382,8 @@ def support_index(vectors: list[Support], N: int) -> int:
     Z^{N-1}. echelon_pivots pivots each row on its largest column; its pivot
     rows are triangular in reversed column order and generate the same span,
     so with N-1 pivots the index is their product. Returns 0 when the span
-    has deficient rank.
+    has deficient rank. The rows are made one at a time as the echelon takes
+    them, so no copy of every support is held at once.
     """
-    pivots = echelon_pivots([{i: c for i, c in v.items() if i != N - 1} for v in vectors])
+    pivots = echelon_pivots({i: c for i, c in v.items() if i != N - 1} for v in vectors)
     return prod(pivots) if len(pivots) == N - 1 else 0

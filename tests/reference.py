@@ -1,5 +1,10 @@
-"""Independent references the tests check the library against.
+"""Independent references the tests check the library against, and the
+helpers only the tests need.
 
+``canonical_groups_of_order`` lists every canonical shape of a given order;
+``deep_hole_An`` is a deep hole of A_{N-1}, at squared distance mu(A_{N-1})^2
+from the lattice, which cvp must find; ``sample_targets`` gives the covering
+check's targets as rational points, for cvp to search one at a time;
 ``canonical_map`` witnesses that make_group's Z/gcd x Z/lcm is isomorphic to
 Z/m x Z/n; ``subgroup`` closes a set of curve points under addition, the
 point sets group_structure must refuse unless they are all of E(F_p);
@@ -20,14 +25,53 @@ product exact.echelon_pivots, with its unit-pivot step, must match;
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
+from fractions import Fraction
 from typing import Callable
 
 from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurvePoint
 from eclat.errors import BadSize
 from eclat.exact import det_bareiss, factorize, xgcd
+from eclat.geometry import RationalPoint, _scaled_targets
 from eclat.groups import AbelianGroup, GroupElement, make_group
 from eclat.lattice import Lattice, Quadruple, Support, dense, gram_matrix
+
+
+def canonical_groups_of_order(order: int) -> list[AbelianGroup]:
+    """All canonical shapes (m, n) with m | n and m*n = order, m ascending."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    shapes = []
+    for m in range(1, order + 1):
+        if m * m > order:
+            break
+        if order % (m * m) == 0:
+            shapes.append(AbelianGroup(m, order // m))
+    return shapes
+
+
+def deep_hole_An(N: int) -> RationalPoint:
+    """A deep hole of A_{N-1}: ceil(N/2) positive entries then floor(N/2) negative ones.
+
+    Entries are +-1/2 for even N and 1/2 - 1/(2N), -1/2 - 1/(2N) for odd N,
+    so the coordinates sum to zero exactly.
+    """
+    if N < 2:
+        raise BadSize(f"A_{{N-1}} needs N >= 2, got {N}")
+    i = N // 2
+    j = N - i
+    if N % 2 == 0:
+        return tuple([Fraction(1, 2)] * j + [Fraction(-1, 2)] * i)
+    shift = Fraction(1, 2 * N)
+    return tuple([Fraction(1, 2) - shift] * j + [Fraction(-1, 2) - shift] * i)
+
+
+def sample_targets(N: int, trials: int, seed: int) -> Iterator[RationalPoint]:
+    """The covering check's targets, as Fractions in the zero-sum hyperplane."""
+    D = 2 * N * N
+    for ts in _scaled_targets(N, trials, seed):
+        yield tuple(Fraction(t, D) for t in ts)
 
 
 def crt(congruences: list[tuple[int, int]]) -> int:

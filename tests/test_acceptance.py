@@ -8,6 +8,8 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
+from reference import canonical_groups_of_order, deep_hole_An
+
 from eclat.basis import build_minimal_basis
 from eclat.curves import Curve, curve_group
 from eclat.errors import SingularCurve
@@ -15,11 +17,10 @@ from eclat.geometry import (
     covering_bounds,
     covering_radius_An_sq,
     cvp,
-    deep_hole_An,
     mh_window_scan,
     sampled_covering_check,
 )
-from eclat.groups import AbelianGroup, canonical_groups_of_order
+from eclat.groups import AbelianGroup
 from eclat.lattice import Lattice, gram_report, span_rank, support, support_index
 
 SEED = 20260809

@@ -1,4 +1,5 @@
 import pytest
+from reference import canonical_groups_of_order
 
 from eclat.basis import (
     CYCLIC4_FALLBACK,
@@ -8,7 +9,7 @@ from eclat.basis import (
     verify_basis,
 )
 from eclat.errors import BadShape, BadSize
-from eclat.groups import AbelianGroup, canonical_groups_of_order
+from eclat.groups import AbelianGroup
 from eclat.lattice import Lattice, dense, gram_report, span_rank, support
 
 

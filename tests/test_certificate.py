@@ -12,11 +12,11 @@ import random
 from functools import cache
 
 import pytest
-from reference import verification_report
+from reference import canonical_groups_of_order, verification_report
 
 from eclat.basis import VerificationReport, build_minimal_basis, cyclic_basis, rect_basis, verify_basis
 from eclat.exact import echelon_pivots
-from eclat.groups import AbelianGroup, canonical_groups_of_order, parse_group_spec
+from eclat.groups import AbelianGroup, parse_group_spec
 from eclat.lattice import Support
 
 

@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from reference import full_walk_points, write_rows
+from reference import canonical_groups_of_order, full_walk_points, write_rows
 
 from eclat import cli
 from eclat.basis import build_minimal_basis
@@ -25,7 +25,7 @@ from eclat.cli import (
     main,
 )
 from eclat.curves import Curve, curve_group
-from eclat.groups import canonical_groups_of_order, make_group, parse_group_spec
+from eclat.groups import make_group, parse_group_spec
 from eclat.lattice import Lattice, quadruple, support
 
 SMALL_GROUPS = [g for N in range(2, 25) for g in canonical_groups_of_order(N)]

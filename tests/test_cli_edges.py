@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eclat import basis
-from eclat.cli import BASIS_MAX_N, DENSITY_MAX_N, MINVEC_MAX_N, VERIFY_MAX_N, main
+from eclat.cli import BASIS_MAX_N, DENSITY_MAX_N, GROUP_MAX_N, MINVEC_MAX_N, VERIFY_MAX_N, main
 from eclat.errors import BadSize, SearchBoundExceeded
 from eclat.groups import AbelianGroup
 from eclat.lattice import SEARCH_MAX_NODES, Lattice, _enumerate
@@ -203,6 +203,32 @@ def test_malformed_specs_carry_the_library_message(argv, message):
     assert code == 2 and out == ""
     assert message in err
     assert "_group_arg" not in err and "_curve_arg" not in err
+
+
+GROUP_COMMANDS = ["group", "basis", "verify", "minvec", "covering", "oracle"]
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@pytest.mark.parametrize("spec", [f"1x{GROUP_MAX_N}", f"{10**500}x{10**500}"])
+def test_group_order_cap_admits_its_edge(command, spec):
+    # at the cap N^3 still prints: group reports it, and every other command refuses the size itself
+    code, out, err = call([command, "--group", spec, "--json"])
+    assert code == (0 if command == "group" else 2), (command, err[:200])
+    assert "GROUP_MAX_N" not in err
+    if command == "group":
+        assert f'"det_sq": {GROUP_MAX_N**3}' in out
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@pytest.mark.parametrize(
+    "spec",
+    # cap + 1; a cube past 4300 digits; an order of 5001 digits from two factors argparse can parse
+    [f"1x{GROUP_MAX_N + 1}", f"2x{GROUP_MAX_N // 2 + 1}", f"1x{10**2000}", f"{10**2500}x{10**2500}"],
+)
+def test_group_order_above_the_cap_is_a_usage_error(command, spec):
+    code, out, err = call([command, "--group", spec, "--json"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith("has order above GROUP_MAX_N = 10^1000"), err[-200:]
 
 
 def test_oracle_work_budget_refuses_large_searches():

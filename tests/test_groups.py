@@ -2,9 +2,9 @@ from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
-from reference import canonical_map
+from reference import canonical_groups_of_order, canonical_map
 
-from eclat.groups import AbelianGroup, canonical_groups_of_order, make_group, parse_group_spec
+from eclat.groups import AbelianGroup, make_group, parse_group_spec
 
 small_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eclat.errors import BadSize, LengthMismatch, SearchBoundExceeded
-from eclat.groups import AbelianGroup, canonical_groups_of_order, make_group
+from eclat.groups import AbelianGroup, make_group
 from eclat.lattice import (
     Lattice,
     dense,
@@ -18,7 +18,7 @@ from eclat.lattice import (
     support,
     support_index,
 )
-from reference import minimal_quadruples as sorted_quadruples
+from reference import canonical_groups_of_order, minimal_quadruples as sorted_quadruples
 
 
 def cyclic(n):
