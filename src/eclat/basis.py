@@ -193,7 +193,7 @@ def verify_basis(group: AbelianGroup, vectors: list[Support]) -> VerificationRep
         all(0 <= i < N for i in v) and sum(v.values()) == 0 and group.weighted_sum(v.items()) == group.identity
         for v in vectors
     )
-    index = support_index(vectors, N) if vectors and all_in_lattice else 0
+    index = support_index(vectors, N) if all_in_lattice else 0
     return VerificationReport(
         all_in_lattice=all_in_lattice,
         all_minimal=all(sum(c * c for c in v.values()) == min_sq for v in vectors),

@@ -14,7 +14,9 @@ DENSITY_MAX_N; and a curve prime above curves.MAX_P, checked before the
 prime is tested. Of the bad curve inputs, a singular curve and a p that is
 not a prime above 3 (errors.BadInput) exit 2 as well. Any other exception,
 a ValueError included, is a bug and ends the run with its traceback (exit
-status 1). curve certifies the basis only up to
+status 1). A reader that closes stdout early (`eclat minvec ... | head`)
+ends the run quietly with exit status 141, 128 + SIGPIPE, as a shell reports
+for a process that signal stops. curve certifies the basis only up to
 N = CURVE_BASIS_MAX_N and reports the structure and bounds alone above it.
 """
 
@@ -23,12 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Iterable
 
 from . import basis as basis_mod
 from . import curves, geometry
@@ -394,7 +397,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 128 + SIGPIPE, with stdout on devnull so the last flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

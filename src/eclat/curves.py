@@ -172,23 +172,20 @@ def point_order(curve: Curve, point: CurvePoint, group_order: int) -> int:
 def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
     """Structure (n1, n2) with n1 | n2 of E(F_p), given as the list of its points.
 
-    The list is checked (the identity present, every point on the curve) and
-    put in scan order, infinity first and affine points sorted, so the result
-    does not depend on the order of the list. The certificate of curve_group
-    then runs with the list as its scan and its distinct points as N. A list
-    that is not all of E(F_p) fails: PointNotOnCurve for a missing identity or
-    a point off the curve, InternalInconsistency otherwise.
+    The list is checked (the identity present, every point on the curve by
+    Curve.require_point). curve_group's certificate then runs with N the
+    number of distinct points and, as its scan, those points in scan order
+    (infinity, then affine points sorted), so the result does not depend on
+    the order of the list. A list that is not all of E(F_p) fails:
+    PointNotOnCurve for a missing identity or a point off the curve,
+    InternalInconsistency otherwise.
     """
     pts = set(points)
     if None not in pts:
         raise PointNotOnCurve("the point list must contain the identity (point at infinity)")
-    p, ca, cb = curve.p, curve.a, curve.b
-    affine = [pt for pt in points if pt is not None]
-    if [x for x, y in affine if (y * y - (x * x + ca) * x - cb) % p]:
-        for pt in pts:  # raises for the first point off the curve in set order
-            curve.require_point(pt)
-    affine.sort()  # points() output is sorted already, so this is one linear pass
-    ordered = [None, *affine]
+    for pt in pts:
+        curve.require_point(pt)
+    ordered = [None, *sorted(pts - {None})]
     return _certify(curve, len(pts), lambda: ordered)
 
 

@@ -7,7 +7,6 @@ lattice indices come out exact instead of floating-point estimates.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import isqrt
 
 from .errors import InternalInconsistency
 
@@ -26,16 +25,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -84,7 +74,7 @@ def det_bareiss(matrix: list[list[int]]) -> int:
 
 
 def echelon_pivots(rows: Iterable[dict[int, int]]) -> list[int]:
-    """Positive pivots, in column order, of an integer echelon form of the rows.
+    """Absolute values of the pivots, in column order, of an integer echelon form of the rows.
 
     Rows are sparse, {column: nonzero entry}, and are reduced with
     extended-gcd row operations, which are unimodular, so the pivot rows
@@ -93,22 +83,23 @@ def echelon_pivots(rows: Iterable[dict[int, int]]) -> list[int]:
     rows are triangular in reversed column order. The number of pivots is
     therefore the rank over the rationals; when every one of the k columns
     has a pivot, the pivot rows are a triangular basis of the rows' Z-span,
-    and its determinant, the product of the pivots, is the index of that
-    span in Z^k. On the sparse quadruples of a minimal-vector basis, the
-    largest column takes about half the row operations of the smallest.
+    and the absolute value of its determinant, the product of the |pivots|,
+    is the index of that span in Z^k. |pivot at c| generates the c-th
+    entries of the span's vectors that are zero right of c, so it does not
+    depend on the row operations taken, nor on the sign a pivot row is kept
+    with. On the sparse quadruples of a minimal-vector basis, the largest
+    column takes about half the row operations of the smallest.
 
-    When the pivot is 1 and the row's entry b is +-1, the commonest case on
-    these bases, the pivot row is kept and the row becomes row - b * pivot
-    row: one row operation and no xgcd. The step is unimodular and clears
-    the column, like the xgcd step, so the number of pivots and their
-    product, the rank and the index, do not change. Every row operation
-    must clear the column; one that does not is a bug and raises
-    InternalInconsistency, since the row would never settle.
+    When the pivot a is +-1, the commonest case on these bases, the pivot
+    row is kept and the row's entry b is cleared by row - b*a * pivot row:
+    one row operation and no xgcd. The step is unimodular and clears the
+    column, like the xgcd step. Every row operation must clear the column;
+    one that does not is a bug and raises InternalInconsistency, since the
+    row would never settle.
 
-    The rows may come from a generator, and are taken one at a time. A row
-    with a positive pivot may be kept as it is, as a pivot row that later
-    rows read, so callers must pass fresh dicts and change none of them
-    afterwards.
+    The rows may come from a generator, and are taken one at a time. An
+    input row may be kept as it is, as a pivot row that later rows read, so
+    callers must pass fresh dicts and change none of them afterwards.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for vec in rows:
@@ -116,18 +107,18 @@ def echelon_pivots(rows: Iterable[dict[int, int]]) -> list[int]:
             c = max(vec)
             row = pivot_rows.get(c)
             if row is None:
-                pivot_rows[c] = vec if vec[c] > 0 else {k: -x for k, x in vec.items()}
+                pivot_rows[c] = vec
                 break
             a, b = row[c], vec[c]
-            if a == 1 and (b == 1 or b == -1):
-                vec = _combine(-b, row, 1, vec)
+            if a in (1, -1):
+                vec = _combine(-b * a, row, 1, vec)
             else:
                 g, x, y = xgcd(a, b)
                 pivot_rows[c] = _combine(x, row, y, vec)
                 vec = _combine(-(b // g), row, a // g, vec)
             if c in vec:
                 raise InternalInconsistency(f"a row operation left column {c} nonzero")
-    return [pivot_rows[c][c] for c in sorted(pivot_rows)]
+    return [abs(pivot_rows[c][c]) for c in sorted(pivot_rows)]
 
 
 def _combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:

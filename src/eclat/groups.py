@@ -10,9 +10,9 @@ Canonical presentations have m | n; every rank-two finite abelian group
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable
 
 GroupElement = tuple[int, int]
 

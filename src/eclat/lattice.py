@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, prod
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
 
 from .errors import BadSize, LengthMismatch, SearchBoundExceeded
 from .exact import det_bareiss, echelon_pivots

@@ -4,9 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria complete.
 """
 
-import math
 from contextlib import contextmanager
-from fractions import Fraction
 
 from reference import canonical_groups_of_order, deep_hole_An
 

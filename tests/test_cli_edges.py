@@ -189,6 +189,25 @@ def test_curve_arithmetic_fault_is_not_a_usage_error():
 
 
 @pytest.mark.parametrize(
+    "argv", [["minvec", "--group", "1x96", "--json"], ["density", "--from", "4", "--to", "100000"]], ids=["minvec", "density"]
+)
+def test_a_reader_that_closes_stdout_ends_the_run_with_status_141(argv):
+    # as in `eclat minvec --group 1x96 --json | head -c 20`: the report is far larger than a pipe buffer, so a
+    # later write meets the closed pipe; that is 128 + SIGPIPE, as a shell reports, and no traceback
+    with subprocess.Popen(
+        [sys.executable, "-m", "eclat.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        try:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+    assert len(head) == 20 and proc.returncode == 141
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["group", "--group", "abc"], "invalid group spec 'abc'; expected the form MxN, e.g. 3x6"),
