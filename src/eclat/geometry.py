@@ -85,6 +85,8 @@ def zeta(k: int) -> float:
     """
     if k < 2:
         raise ValueError(f"zeta evaluated only for k >= 2, got {k}")
+    if k >= 54:  # 0 < zeta(k) - 1 < 2^-k + 2^(1-k)/(k-1) < 2^-53, half an ulp of 1.0, so fsum would round to 1.0
+        return 1.0
     M = max(10, math.ceil((1.25e13) ** (1.0 / k)) + 1)
     partial = math.fsum(j ** (-float(k)) for j in range(1, M + 1))
     tail = M ** (1.0 - k) / (k - 1)
@@ -122,11 +124,11 @@ def density_report(N: int) -> DensityReport:
     return DensityReport(N, k, packing_density_log(N), mh_bound_log(k), N <= 47)
 
 
-def mh_window_scan(n_min: int, n_max: int) -> list[DensityReport]:
-    """Density reports for N in [n_min, n_max]."""
+def mh_window_scan(n_min: int, n_max: int) -> Iterator[DensityReport]:
+    """Density reports for N in [n_min, n_max], made as they are read; the range is checked at the call."""
     if not 4 <= n_min <= n_max:
         raise BadSize(f"need 4 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    return [density_report(N) for N in range(n_min, n_max + 1)]
+    return map(density_report, range(n_min, n_max + 1))
 
 
 def covering_radius_An_sq(N: int) -> Fraction:

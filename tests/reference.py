@@ -13,17 +13,23 @@ point, so listing every point once checks group_structure's certificate;
 ``first_complement`` picks g1 by scanning every point, the rule the
 certificate's scan of the sorted n1-torsion must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must
-match byte for byte; ``verification_report`` certifies a basis from dense
-vectors and the Bareiss determinant of their Gram matrix, which verify_basis,
-with its sparse echelon index, must match; ``echelon_pivots_xgcd`` is the
-echelon with an xgcd step for every row operation, whose pivot count and
-product exact.echelon_pivots, with its unit-pivot step, must match;
-``minimal_quadruples`` lists every pair-sum quadruple and sorts them by a
-3^(N-1)-sized key, the order lattice.minimal_quadruples must stream.
+match byte for byte; ``density_output`` is the density report printed from a
+list of every report, through json.dumps, csv.writer or print, which the
+CLI's streamed rows must match byte for byte; ``verification_report``
+certifies a basis from dense vectors and the Bareiss determinant of their
+Gram matrix, which verify_basis, with its sparse echelon index, must match;
+``echelon_pivots_xgcd`` is the echelon with an xgcd step for every row
+operation, whose pivot count and product exact.echelon_pivots, with its
+unit-pivot step, must match; ``minimal_quadruples`` lists every pair-sum
+quadruple and sorts them by a 3^(N-1)-sized key, the order
+lattice.minimal_quadruples must stream.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -33,7 +39,7 @@ from eclat.basis import VerificationReport
 from eclat.curves import Curve, CurvePoint
 from eclat.errors import BadSize
 from eclat.exact import det_bareiss, factorize, xgcd
-from eclat.geometry import RationalPoint, _scaled_targets
+from eclat.geometry import RationalPoint, _scaled_targets, density_report
 from eclat.groups import AbelianGroup, GroupElement, make_group
 from eclat.lattice import Lattice, Quadruple, Support, dense, gram_matrix
 
@@ -191,6 +197,25 @@ def write_rows(head: str, supports, N: int, row_format, tail: str) -> None:
     if batch:
         write(lead + between.join(batch))
     write(tail)
+
+
+def density_output(n_min: int, n_max: int, fmt: str) -> str:
+    """The stdout of density --from n_min --to n_max with the format flag fmt
+    ("--json", "--csv" or "" for plain text), built from a list of every report."""
+    reports = [density_report(N) for N in range(n_min, n_max + 1)]
+    if fmt == "--json":
+        return json.dumps([vars(rep) for rep in reports], sort_keys=True) + "\n"
+    out = io.StringIO()
+    if fmt == "--csv":
+        writer = csv.writer(out)
+        writer.writerow(["N", "log_density", "log_mh_bound", "satisfies_mh"])
+        for rep in reports:
+            writer.writerow([rep.N, repr(rep.log_density), repr(rep.log_mh_bound), rep.satisfies_mh])
+    else:
+        for rep in reports:
+            flag = "yes" if rep.satisfies_mh else "no"
+            print(f"N={rep.N} log_density={rep.log_density:.6f} log_mh={rep.log_mh_bound:.6f} mh={flag}", file=out)
+    return out.getvalue()
 
 
 def verification_report(group: AbelianGroup, supports: list[Support]) -> VerificationReport:

@@ -87,7 +87,7 @@ def test_criterion_4_svp_oracle_agreement():
 
 def test_criterion_5_minkowski_hlawka_window():
     with criterion(5, "Minkowski-Hlawka window [4, 47]"):
-        reports = mh_window_scan(4, 48)
+        reports = list(mh_window_scan(4, 48))
         for rep in reports:
             assert rep.satisfies_mh == (rep.N <= 47), rep.N
         margins = {rep.N: rep.log_density - rep.log_mh_bound for rep in reports}

@@ -7,15 +7,20 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
-from reference import canonical_groups_of_order, full_walk_points, write_rows
+from reference import canonical_groups_of_order, density_output, full_walk_points, write_rows
 
-from eclat import cli
-from eclat.basis import build_minimal_basis
-from eclat.cli import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import checks  # noqa: E402
+from eclat import cli  # noqa: E402
+from eclat.basis import build_minimal_basis  # noqa: E402
+from eclat.cli import (  # noqa: E402
     _BATCH_BYTES,
     _CSV_ROWS,
+    _DENSITY_BATCH_ROWS,
     _JSON_ROWS,
     _PLAIN_ROWS,
     DENSITY_MAX_N,
@@ -24,9 +29,9 @@ from eclat.cli import (
     build_parser,
     main,
 )
-from eclat.curves import Curve, curve_group
-from eclat.groups import make_group, parse_group_spec
-from eclat.lattice import Lattice, quadruple, support
+from eclat.curves import Curve, curve_group  # noqa: E402
+from eclat.groups import make_group, parse_group_spec  # noqa: E402
+from eclat.lattice import Lattice, quadruple, support  # noqa: E402
 
 SMALL_GROUPS = [g for N in range(2, 25) for g in canonical_groups_of_order(N)]
 
@@ -224,6 +229,25 @@ def test_density_csv_window_flip(capsys):
     assert len(rows) == 45
     assert rows[-2][0] == "47" and rows[-2][3] == "True"
     assert rows[-1][0] == "48" and rows[-1][3] == "False"
+
+
+# one report, the window's edge and the top of the admitted range; then exactly one and two full batches of rows,
+# and one row more, so rows are joined across batch boundaries and the last batch is full or not
+DENSITY_RANGES = [(4, 4), (4, 200), (47, 48), (48, 48), (99990, 100000)] + [
+    (4, 3 + rows) for rows in (_DENSITY_BATCH_ROWS, 2 * _DENSITY_BATCH_ROWS, 2 * _DENSITY_BATCH_ROWS + 1)
+]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", ""], ids=["json", "csv", "plain"])
+@pytest.mark.parametrize("lo, hi", DENSITY_RANGES)
+def test_density_bytes_match_the_list_reference(capsys, lo, hi, fmt):
+    argv = ["density", "--from", str(lo), "--to", str(hi), *filter(None, [fmt])]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # compared as bytes, so a failure names the first differing byte instead of diffing two whole reports
+    assert out.encode() == density_output(lo, hi, fmt).encode()
+    if fmt == "--json":
+        checks.check_density(argv, out)
 
 
 def test_covering_deterministic(capsys):

@@ -41,6 +41,19 @@ def test_zeta_values():
         zeta(1)
 
 
+def test_zeta_is_one_from_k_54():
+    import mpmath
+
+    # the guard returns the sum it skips: M = 10 terms and the tail for every k >= 14, correctly rounded to 1.0
+    assert zeta(53) - 1.0 == 2.0**-52
+    for k in range(54, 3001):
+        skipped = math.fsum(j ** (-float(k)) for j in range(1, 11)) + 10 ** (1.0 - k) / (k - 1)
+        assert zeta(k) == skipped == 1.0, k
+    # zeta(54) - 1 is below half an ulp of 1.0
+    with mpmath.workdps(50):
+        assert 0 < mpmath.zeta(54) - 1 < mpmath.mpf(2) ** -53
+
+
 def test_packing_density_log_exact_at_4():
     # the closed form evaluates to pi/6 at N = 4
     assert abs(packing_density_log(4) - math.log(math.pi / 6)) <= 1e-12
@@ -54,7 +67,7 @@ def test_packing_density_strictly_decreasing():
 
 
 def test_mh_window():
-    reports = mh_window_scan(4, 60)
+    reports = list(mh_window_scan(4, 60))
     by_n = {rep.N: rep for rep in reports}
     assert by_n[4].satisfies_mh
     assert by_n[10].satisfies_mh
