@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -52,7 +51,7 @@ BASIS_MAX_N = 10_200
 VERIFY_MAX_N = curves.MAX_P + 1 + isqrt(4 * curves.MAX_P)
 # minvec prints about N^3/4 rows of N entries, about 0.7 N^4 bytes: 62 MB at N = 96, 196 MB at N = 128
 MINVEC_MAX_N = 128
-# density streams --to 100000 in 0.4 to 0.75 s and 27 MB peak RSS, by format (whole process, 2-core VM, Python 3.11)
+# density streams --to 100000 in 0.4 to 0.75 s and 17 MB peak RSS, by format (whole process, 2-core VM, Python 3.11)
 DENSITY_MAX_N = 100_000
 # curve builds and certifies the basis only up to this order; perfbench/checks.py expects exactly this bound
 CURVE_BASIS_MAX_N = 300
@@ -239,7 +238,7 @@ def cmd_verify(args) -> int:
     g = args.group
     _refuse_above(g, VERIFY_MAX_N, "verify", "certification takes time and memory linear in N")
     result = basis_mod.build_minimal_basis(g)
-    _emit(args, {"group": g.spec(), "kind": result.kind, **asdict(result.report), "certified": result.certified})
+    _emit(args, {"group": g.spec(), "kind": result.kind, **vars(result.report), "certified": result.certified})
     return 0 if result.accepted else 1
 
 
@@ -262,11 +261,11 @@ def cmd_density(args) -> int:
 
 def cmd_covering(args) -> int:
     g = args.group
-    payload = {"group": g.spec(), **asdict(geometry.covering_bounds(g))}
+    payload = {"group": g.spec(), **vars(geometry.covering_bounds(g))}
     sampled = None
     if args.trials > 0:
         sampled = geometry.sampled_covering_check(g, args.trials, args.seed)
-        payload["sampled"] = asdict(sampled)
+        payload["sampled"] = vars(sampled)
     _emit(args, payload)
     return 0 if sampled is None or sampled.all_within_upper else 1
 

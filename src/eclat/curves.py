@@ -6,13 +6,14 @@ without a point, and a lazy scan yields the points in a fixed order
 (infinity, then x ascending, then y ascending); Curve.points is the list of
 that scan. E(F_p) is Z/n1 x Z/n2 with n1 | n2 (Washington, Elliptic Curves:
 Number Theory and Cryptography, thm. 4.1) and n1 | p-1 by the Weil pairing.
-curve_group reads n1 off the Sylow subgroups of N, factored once, takes g2
-from the scan and g1 from the n1-torsion those subgroups hold, and certifies
-the structure from the generators' orders alone: g2 has exact order n2 and
-g1 exact order n1 with <g1> meeting <g2> only in the identity, so the two
-span n1*n2 = N points, and by Lagrange's theorem and the Hasse bound
-(thm. 4.2) these are all of E(F_p). It builds no point list;
-group_structure runs the same certificate over a given list of points.
+curve_group, the one certificate, reads n1 off the Sylow subgroups of N,
+factored once, takes g2 from the scan and g1 from the n1-torsion those
+subgroups hold, and certifies the structure from the generators' orders: g2
+has exact order n2 and g1 exact order n1 with <g1> meeting <g2> only in the
+identity, so the two span n1*n2 = N points, all of E(F_p) as N is its exact
+count. It builds no point list. group_structure accepts a list of points
+only when it holds exactly N points of the curve, and returns curve_group's
+result.
 """
 
 from __future__ import annotations
@@ -170,45 +171,37 @@ def point_order(curve: Curve, point: CurvePoint, group_order: int) -> int:
 
 
 def group_structure(points: list[CurvePoint], curve: Curve) -> CurveGroup:
-    """Structure (n1, n2) with n1 | n2 of E(F_p), given as the list of its points.
+    """curve_group(curve), given the list of all points of E(F_p) in any order.
 
-    The list is checked (the identity present, every point on the curve by
-    Curve.require_point). curve_group's certificate then runs with N the
-    number of distinct points and, as its scan, those points in scan order
-    (infinity, then affine points sorted), so the result does not depend on
-    the order of the list. A list that is not all of E(F_p) fails:
-    PointNotOnCurve for a missing identity or a point off the curve,
-    InternalInconsistency otherwise.
+    The list must hold the identity and only points on the curve (checked by
+    Curve.require_point), else PointNotOnCurve. Its distinct points are then
+    all of E(F_p) exactly when there are N = curve_group(curve).order of
+    them; a list of any other size raises InternalInconsistency.
     """
     pts = set(points)
     if None not in pts:
         raise PointNotOnCurve("the point list must contain the identity (point at infinity)")
     for pt in pts:
         curve.require_point(pt)
-    ordered = [None, *sorted(pts - {None})]
-    return _certify(curve, len(pts), lambda: ordered)
+    result = curve_group(curve)
+    if len(pts) != result.order:
+        raise InternalInconsistency(f"the {len(pts)} points are not all of E(F_p)")
+    return result
 
 
 def curve_group(curve: Curve) -> CurveGroup:
-    """Full rational-point group of the curve with its structure.
+    """Certify E(F_p) = Z/n1 x Z/n2 with no point list.
 
-    N is counted from a table of square roots, and the certificate scans
-    E(F_p) lazily in scan order (see _enumeration), so no point list is built.
-    """
-    return _certify(curve, *_enumeration(curve))
-
-
-def _certify(curve: Curve, count: int, scan: Callable[[], Iterable[CurvePoint]]) -> CurveGroup:
-    """Certify E(F_p) = Z/n1 x Z/n2, given N = count and scan(), which runs over
-    the points in scan order and may stop early.
-
-    N is factored once. By the Weil pairing n1 | p-1, so only a prime q with
-    q^2 | N and q | p-1 can divide n1; for each such q the Sylow q-subgroup is
-    grown from the points (N/q^e)P until it has q^e elements, and its exponent
-    q^k gives q^(e-k) as q's share of n1. The subgroup's points that q^(e-k)
-    kills are the q-part of E[n1]; when e = 2(e-k) that is the whole subgroup.
-    E[n1], the points that n1 kills, is the set of sums of one point from each
-    q-part. Three checks certify the structure:
+    N = #E(F_p) is counted from a table of square roots, and scan() runs
+    lazily over the points in scan order and may stop early (see
+    _enumeration). N is factored once. By the Weil pairing n1 | p-1, so only
+    a prime q with q^2 | N and q | p-1 can divide n1; for each such q the
+    Sylow q-subgroup is grown from the points (N/q^e)P until it has q^e
+    elements, and its exponent q^k gives q^(e-k) as q's share of n1. The
+    subgroup's points that q^(e-k) kills are the q-part of E[n1]; when
+    e = 2(e-k) that is the whole subgroup. E[n1], the points that n1 kills,
+    is the set of sums of one point from each q-part. Two checks certify the
+    structure:
 
     1. g2 is the first point of exact order n2 = N/n1 in the scan: n2*g2 = O,
        and (n2/q)*g2 != O for each prime q | n2.
@@ -218,11 +211,10 @@ def _certify(curve: Curve, count: int, scan: Callable[[], Iterable[CurvePoint]])
        E[n1], so this is the first one in scan order. O lies in H, so g1 has
        exact order n1, and a point of <g1> in <g2> has order dividing n1, so
        it lies in H and is O.
-    3. So <g1> + <g2> has N points, and by Lagrange N divides #E, which is at
-       most p + 1 + 2*sqrt(p) by the Hasse bound. #E = N once 2N exceeds that
-       bound, which holds for every full group with p >= 37; below it N is
-       compared with len(curve.points()).
+
+    So <g1> + <g2> holds n1*n2 = N = #E(F_p) points: all of E(F_p).
     """
+    count, scan = _enumeration(curve)
     p = curve.p
     # a Sylow subgroup of E has rank at most 2, so e - k <= k and n1 | n2
     factors = factorize(count)
@@ -258,10 +250,6 @@ def _certify(curve: Curve, count: int, scan: Callable[[], Iterable[CurvePoint]])
         else:
             raise InternalInconsistency("no complementary generator found")
 
-    # check 3: 2 * count > p + 1 + 2 * sqrt(p) in integers, else the direct count
-    t = 2 * count - p - 1
-    if (t <= 0 or t * t <= 4 * p) and count != len(curve.points()):
-        raise InternalInconsistency(f"the {count} points are not all of E(F_{p})")
     return CurveGroup(curve, AbelianGroup(n1, n2), (g1, g2))
 
 

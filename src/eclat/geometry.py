@@ -76,7 +76,6 @@ class SampledCoveringReport:
     max_reaches_lower: bool
 
 
-@lru_cache(maxsize=None)
 def zeta(k: int) -> float:
     """Riemann zeta at an integer k >= 2, absolute error below 1e-13.
 

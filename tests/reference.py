@@ -9,7 +9,7 @@ check's targets as rational points, for cvp to search one at a time;
 Z/m x Z/n; ``subgroup`` closes a set of curve points under addition, the
 point sets group_structure must refuse unless they are all of E(F_p);
 ``full_walk_points`` labels E(F_p) by a*g1 + b*g2 with one chord addition per
-point, so listing every point once checks group_structure's certificate;
+point, so listing every point once checks curve_group's certificate;
 ``first_complement`` picks g1 by scanning every point, the rule the
 certificate's scan of the sorted n1-torsion must match;
 ``write_rows`` is the per-cell writer the CLI's byte-template writer must

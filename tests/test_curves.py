@@ -256,7 +256,7 @@ def _assert_matches_oracle(cg):
 
 
 def test_group_structure_matches_all_orders_oracle():
-    # every nonsingular curve over 5 <= p <= 31, the primes where group_structure counts E(F_p) directly
+    # every nonsingular curve over 5 <= p <= 31, where the all-orders scan of every point stays cheap
     curves_seen = 0
     for p in filter(is_prime, range(5, 32)):
         for a in range(p):
@@ -320,12 +320,33 @@ def test_group_structure_accepts_exactly_the_curve_group():
     assert accepted > 0 and rejected > 0
 
 
+@pytest.mark.parametrize("spec", [(101, 21, 89), (9973, 1, 0)], ids=lambda s: "%d,%d,%d" % s)
+def test_group_structure_refuses_e_fp_less_one_point_by_its_count(spec):
+    # every point is on the curve, so the count alone refuses the list, whichever point is dropped
+    c = Curve(*spec)
+    points = c.points()
+    message = rf"^the {len(points) - 1} points are not all of E\(F_p\)$"
+    for P in (points[1], points[len(points) // 2], points[-1]):
+        with pytest.raises(InternalInconsistency, match=message):
+            group_structure([pt for pt in points if pt != P], c)
+
+
+def test_group_structure_refuses_a_proper_subgroup_by_its_count():
+    # E(F_37) for y^2 = x^3 + 1 is Z/4 x Z/12; its 2-torsion E[2] is a subgroup of 4 points
+    c = Curve(37, 0, 1)
+    assert curve_group(c).structure == AbelianGroup(4, 12)
+    two_torsion = subgroup(c, [pt for pt in c.points() if pt is not None and pt[1] == 0])
+    assert len(two_torsion) == 4
+    with pytest.raises(InternalInconsistency, match=r"^the 4 points are not all of E\(F_p\)$"):
+        group_structure(list(two_torsion), c)
+
+
 @pytest.mark.parametrize(
     "spec", [(13, 0, 5), (29, 4, 7), (31, 0, 1), (37, 1, 0), (37, 0, 1), (43, 0, 3)], ids=lambda s: "%d,%d,%d" % s
 )
 def test_group_structure_refuses_every_proper_subgroup(spec):
-    # groups 4x4, 4x8, 6x6 below the direct-count bound p >= 37 and 6x6, 4x12, 7x7 above it;
-    # every subgroup is generated by two points
+    # groups 4x4, 4x8, 6x6 over p <= 31 and 6x6, 4x12, 7x7 over p = 37 and 43; every subgroup is generated by
+    # two points
     c = Curve(*spec)
     points = c.points()
     expected = curve_group(c)
@@ -341,8 +362,9 @@ def test_group_structure_refuses_every_proper_subgroup(spec):
 
 
 # The list-free path: curve_group counts E(F_p) from a square-root table and scans it lazily, and takes g1 from
-# the sorted n1-torsion; group_structure runs the same certificate over a list. Each check below compares the
-# two, the count and the lazy scan with points(), and g1 with reference.first_complement, the scan of every point.
+# the sorted n1-torsion; group_structure checks a list against that count and returns curve_group's result. Each
+# check below compares the two, the count and the lazy scan with points(), and g1 with reference.first_complement,
+# the scan of every point.
 def _check_list_free(c):
     count, scan = _enumeration(c)
     points = c.points()

@@ -80,6 +80,20 @@ def test_mh_window():
         mh_window_scan(3, 10)
 
 
+def test_mh_window_scan_holds_nothing_once_it_ends():
+    # zeta keeps no cache, so a scan leaves nothing per k behind
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for r in mh_window_scan(4, 50000):
+            pass
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20, held
+
+
 def log_density_over_bound(N):
     """log R(N), density over the Minkowski-Hlawka bound, at the working precision of mpmath."""
     import mpmath
